@@ -118,9 +118,15 @@ soak:
 	RAINSHINE_BENCH_OUT=$(CURDIR)/BENCH_serve.json \
 		$(GO) test -race -count=1 -timeout 10m -run 'TestChaosSoak' -v ./internal/server/
 
-# Regenerate every paper table and figure at full scale (seed 42).
+# Regenerate the seed-42 transcripts in docs/ (every paper table and
+# figure at full scale, then the extension commands). The golden tests
+# in cmd/rainshine diff the CLI against these files, so an intended
+# output change means running this target and reviewing the diff.
 repro:
-	$(GO) run ./cmd/rainshine all
+	$(GO) build -o bin/rainshine ./cmd/rainshine
+	bin/rainshine -seed 42 all > docs/paper_run_seed42.txt
+	{ bin/rainshine -seed 42 ablate && echo && bin/rainshine -seed 42 pooling && echo && \
+		bin/rainshine -seed 42 opex && echo && bin/rainshine -seed 42 predict; } > docs/extensions_seed42.txt
 
 # Record the canonical outputs referenced by EXPERIMENTS.md.
 outputs:

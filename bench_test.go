@@ -6,8 +6,9 @@ package rainshine
 //
 // The per-experiment benchmarks share a single reduced study (the
 // simulation is deterministic, so sharing does not couple iterations)
-// and measure the cost of regenerating the experiment from raw events;
-// the figure memo is off by default, so every iteration does real work.
+// and measure the cost of regenerating the experiment from raw events.
+// The study memo is always on, so each iteration runs on a fresh fork
+// of the shared study (freshData) and does real work.
 // Run with:
 //
 //	go test -bench=. -benchmem
@@ -54,13 +55,25 @@ func benchData(b testing.TB) *Study {
 			b.Fatal(err)
 		}
 		benchStudy = s
-		// Pre-build the rack-day frame so per-figure benches measure
-		// the figure computation, not the shared cache fill.
+		// Pre-build the rack-day frame and quality report so per-figure
+		// benches measure the figure computation, not the shared inputs.
 		if _, err := s.Figures().RackDays(); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Quality(); err != nil {
 			b.Fatal(err)
 		}
 	})
 	return benchStudy
+}
+
+// freshData forks the shared study's figures.Data outside the timer: the
+// fork shares the prebuilt rack-day frame but no memoized analysis, so
+// an iteration measures the computation, not a memo hit.
+func freshData(b *testing.B) *figures.Data {
+	b.StopTimer()
+	defer b.StartTimer()
+	return benchData(b).Figures().Fork()
 }
 
 func benchErr(b testing.TB, err error) {
@@ -132,11 +145,10 @@ var figureBenches = []struct {
 // BenchmarkFigures runs one sub-benchmark per paper table and figure
 // (select one with e.g. -bench=Figures/Fig7).
 func BenchmarkFigures(b *testing.B) {
-	d := benchData(b).Figures()
 	for _, fb := range figureBenches {
 		b.Run(fb.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				benchErr(b, fb.fn(d))
+				benchErr(b, fb.fn(freshData(b)))
 			}
 		})
 	}
@@ -146,9 +158,10 @@ func BenchmarkFigures(b *testing.B) {
 // tables and figures once — the serve daemon's warmup workload on a
 // cold cache.
 func BenchmarkFigureRegen(b *testing.B) {
-	d := benchData(b).Figures()
+	benchData(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		d := freshData(b)
 		for _, fb := range figureBenches {
 			benchErr(b, fb.fn(d))
 		}
@@ -341,13 +354,14 @@ func BenchmarkRackDayFrame(b *testing.B) {
 	}
 }
 
-// BenchmarkClimateGuidance measures the full Q3 pipeline on the shared
-// study: MF fit, baseline fit, residual environment tree, hot-regime RH
+// BenchmarkClimateGuidance measures the full Q3 pipeline on a fresh
+// fork of the shared study: MF fit, baseline fit, residual environment tree, hot-regime RH
 // scan, PDP grids, and per-DC group rates.
 func BenchmarkClimateGuidance(b *testing.B) {
-	s := benchData(b)
+	benchData(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		s := &Study{data: freshData(b)}
 		_, err := s.ClimateGuidance()
 		benchErr(b, err)
 	}

@@ -48,12 +48,6 @@
 //	            into the recorded telemetry and scrub it through ingest
 //	-workers N  worker goroutines for simulation and analysis (default 0 =
 //	            all CPUs, 1 = serial; every count yields identical output)
-//	-bins N     histogram bin cap for the fleet-scale binned CART split
-//	            search (default 255; values outside [2,255] are rejected
-//	            at flag parse; small studies below the auto-binning
-//	            threshold are unaffected)
-//	-exact      force exact (presorted) CART split search at any data
-//	            size — the audit path for binned results
 //	-cpuprofile F  write a CPU profile of the run to file F (pprof format)
 //	-memprofile F  write a heap profile at exit to file F (pprof format)
 package main
@@ -69,7 +63,6 @@ import (
 	"strings"
 
 	"rainshine"
-	"rainshine/internal/cart"
 )
 
 func main() {
@@ -79,7 +72,11 @@ func main() {
 	}
 }
 
-func run(args []string) (err error) {
+func run(args []string) error { return runWith(args, os.Stdout, rainshine.NewStudy) }
+
+// runWith is run with the report sink and the study constructor
+// supplied by the caller (tests share one study across commands).
+func runWith(args []string, out io.Writer, newStudy func(...rainshine.Option) (*rainshine.Study, error)) (err error) {
 	fs := flag.NewFlagSet("rainshine", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 42, "root RNG seed")
 	days := fs.Int("days", 930, "observation window in days")
@@ -89,8 +86,6 @@ func run(args []string) (err error) {
 	dirty := fs.Bool("faults", false, "inject the default deterministic fault mix (dirty-data mode)")
 	workers := fs.Int("workers", 0,
 		"worker goroutines for simulation and analysis (0 = all CPUs, 1 = serial; results identical)")
-	bins := fs.Int("bins", 0, "histogram bin cap for binned CART split search (0 = default 255, else 2-255)")
-	exact := fs.Bool("exact", false, "force exact CART split search at any data size")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile at exit to this file")
 	if err := fs.Parse(args); err != nil {
@@ -100,11 +95,6 @@ func run(args []string) (err error) {
 	if len(rest) == 0 {
 		fs.Usage()
 		return fmt.Errorf("missing command (try: rainshine -small all)")
-	}
-	// Reject a bad bin budget here, before any simulation spends time;
-	// the same typed check guards the WithBins option inside NewStudy.
-	if err := cart.ValidateBins(*bins); err != nil {
-		return fmt.Errorf("-bins: %s", strings.TrimPrefix(err.Error(), "cart: "))
 	}
 	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
 	if err != nil {
@@ -125,12 +115,6 @@ func run(args []string) (err error) {
 	}
 	if *dirty {
 		opts = append(opts, rainshine.WithFaults(rainshine.DefaultFaults()))
-	}
-	if *bins != 0 {
-		opts = append(opts, rainshine.WithBins(*bins))
-	}
-	if *exact {
-		opts = append(opts, rainshine.WithExactSplits())
 	}
 	if *racks != "" {
 		// Shared with the server's racks query parameter: rejects
@@ -163,11 +147,11 @@ func run(args []string) (err error) {
 	}
 
 	fmt.Fprintf(os.Stderr, "simulating fleet (seed %d)...\n", *seed)
-	study, err := rainshine.NewStudy(opts...)
+	study, err := newStudy(opts...)
 	if err != nil {
 		return err
 	}
-	r := &renderer{study: study, out: os.Stdout}
+	r := &renderer{study: study, out: out}
 
 	switch rest[0] {
 	case "summary":

@@ -154,9 +154,6 @@ func TestRunArgErrors(t *testing.T) {
 		withTiny("fig", "abc"),         // bad figure number
 		withTiny("export"),             // missing export target
 		withTiny("q1", "nope"),         // bad workload
-		{"-bins", "1", "summary"},      // bin budget below 2 (pre-study)
-		{"-bins", "256", "summary"},    // bin budget past the byte range
-		{"-bins", "-3", "summary"},     // negative bin budget
 		{"-cpuprofile", "/nonexistent-dir/cpu.out", "summary"}, // unwritable profile path (pre-study)
 	}
 	for _, args := range cases {

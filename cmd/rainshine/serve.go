@@ -60,7 +60,7 @@ func parseServeFlags(args []string) (serveConfig, error) {
 	workers := fs.Int("workers", 0,
 		"worker goroutines per study build and analysis (0 = all CPUs, 1 = serial; results identical)")
 	warmup := fs.Bool("warmup", false,
-		"pre-materialize every table and figure of each study before publishing it")
+		"pre-materialize every table and figure (and the q3 answer they share) of each study before publishing it")
 	buildTimeout := fs.Duration("build-timeout", 10*time.Minute,
 		"hard cap on each detached study build, independent of request deadlines")
 	maxConcurrent := fs.Int("max-concurrent", 256,

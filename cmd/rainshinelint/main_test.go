@@ -34,6 +34,21 @@ func TestStandaloneCleanModule(t *testing.T) {
 	}
 }
 
+// TestStandaloneSkipsNestedModules: ./... stops at a directory with its
+// own go.mod, as the go command does, so a nested module's findings
+// (here a package that would not even typecheck) are not this module's.
+func TestStandaloneSkipsNestedModules(t *testing.T) {
+	writeModule(t, map[string]string{
+		"go.mod":           "module scratch\n\ngo 1.24\n",
+		"pkg/ok.go":        "package pkg\n\nfunc Add(a, b int) int { return a + b }\n",
+		"nested/go.mod":    "module nested\n\ngo 1.24\n",
+		"nested/broken.go": "package nested\n\nfunc f() { return undefinedSymbol }\n",
+	})
+	if code := standalone([]string{"./..."}, false); code != 0 {
+		t.Fatalf("standalone descended into a nested module: exit %d, want 0", code)
+	}
+}
+
 // TestStandaloneLoadErrorIsFatal pins the regression where a package
 // that fails to load under ./... was skipped and the run still exited
 // 0, masking the breakage from CI.

@@ -220,7 +220,8 @@ func ParseTestFiles(fset *token.FileSet, dir string) []*ast.File {
 
 // ModulePackages walks the module below root and returns the import
 // paths of every buildable package, skipping testdata, hidden
-// directories, and the lint suite's own fixture trees.
+// directories, the lint suite's own fixture trees, and nested modules
+// (a directory with its own go.mod), as `go list ./...` does.
 func ModulePackages(module, root string) ([]string, error) {
 	var out []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -233,6 +234,11 @@ func ModulePackages(module, root string) ([]string, error) {
 		name := d.Name()
 		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
 			return filepath.SkipDir
+		}
+		if path != root {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		ctx := build.Default
 		ctx.CgoEnabled = false

@@ -101,22 +101,11 @@ func binnedBars(f *frame.Frame, key, value string, edges []float64, labels []str
 func (d *Data) Fig1() ([]CDFSeries, error) { return cached(d, "fig1", d.fig1) }
 
 func (d *Data) fig1() ([]CDFSeries, error) {
-	sl, err := provision.AnalyzeServerLevel(d.Res, topology.W1, metrics.Daily, nil)
+	sl, err := d.ServerLevel(topology.W1, metrics.Daily)
 	if err != nil {
 		return nil, err
 	}
-	toSeries := func(name string, fractions []float64) (CDFSeries, error) {
-		e, err := stats.NewECDF(fractions)
-		if err != nil {
-			return CDFSeries{}, err
-		}
-		xs, ps := e.Points()
-		for i := range xs {
-			xs[i] *= 100 // percent failed servers
-		}
-		return CDFSeries{Name: name, X: xs, P: ps}, nil
-	}
-	pooled, err := toSeries("entire workload", sl.PooledFractions)
+	pooled, err := percentCDF("entire workload", sl.PooledFractions)
 	if err != nil {
 		return nil, err
 	}
@@ -134,17 +123,31 @@ func (d *Data) fig1() ([]CDFSeries, error) {
 	}
 	sort.Slice(cms, func(a, b int) bool { return cms[a].mean < cms[b].mean })
 	if len(cms) >= 2 {
-		lo, err := toSeries("low-mu group", sl.ClusterFractions[cms[0].idx])
+		lo, err := percentCDF("low-mu group", sl.ClusterFractions[cms[0].idx])
 		if err != nil {
 			return nil, err
 		}
-		hi, err := toSeries("high-mu group", sl.ClusterFractions[cms[len(cms)-1].idx])
+		hi, err := percentCDF("high-mu group", sl.ClusterFractions[cms[len(cms)-1].idx])
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, lo, hi)
 	}
 	return out, nil
+}
+
+// percentCDF is the empirical CDF of requirement fractions, with the
+// fractions shown as percent of servers.
+func percentCDF(name string, fractions []float64) (CDFSeries, error) {
+	e, err := stats.NewECDF(fractions)
+	if err != nil {
+		return CDFSeries{}, err
+	}
+	xs, ps := e.Points()
+	for i := range xs {
+		xs[i] *= 100
+	}
+	return CDFSeries{Name: name, X: xs, P: ps}, nil
 }
 
 // Fig2 reproduces Fig 2: mean failure rate per DC region.
@@ -332,7 +335,7 @@ type OverprovCell struct {
 func (d *Data) overprovFigure(g metrics.Granularity) ([]OverprovCell, error) {
 	var out []OverprovCell
 	for _, wl := range []topology.Workload{topology.W1, topology.W6} {
-		sl, err := provision.AnalyzeServerLevel(d.Res, wl, g, nil)
+		sl, err := d.ServerLevel(wl, g)
 		if err != nil {
 			return nil, err
 		}
@@ -373,7 +376,7 @@ func (d *Data) Fig11() ([]ClusterCDFs, error) { return cached(d, "fig11", d.fig1
 func (d *Data) fig11() ([]ClusterCDFs, error) {
 	var out []ClusterCDFs
 	for _, wl := range []topology.Workload{topology.W1, topology.W6} {
-		sl, err := provision.AnalyzeServerLevel(d.Res, wl, metrics.Daily, nil)
+		sl, err := d.ServerLevel(wl, metrics.Daily)
 		if err != nil {
 			return nil, err
 		}
@@ -382,16 +385,9 @@ func (d *Data) fig11() ([]ClusterCDFs, error) {
 			if len(fractions) == 0 {
 				return nil
 			}
-			e, err := stats.NewECDF(fractions)
-			if err != nil {
-				return err
-			}
-			xs, ps := e.Points()
-			for i := range xs {
-				xs[i] *= 100
-			}
-			panel.Series = append(panel.Series, CDFSeries{Name: name, X: xs, P: ps})
-			return nil
+			cdf, err := percentCDF(name, fractions)
+			panel.Series = append(panel.Series, cdf)
+			return err
 		}
 		if err := add("SF", sl.PooledFractions); err != nil {
 			return nil, err
@@ -491,45 +487,31 @@ func (d *Data) fig14() ([]SKUBar, error) {
 func (d *Data) Fig15() ([]SKUBar, error) { return cached(d, "fig15", d.fig15) }
 
 func (d *Data) fig15() ([]SKUBar, error) {
-	f, err := d.RackDays()
+	st, err := d.VendorStats()
 	if err != nil {
 		return nil, err
 	}
-	ss, err := skucmp.AnalyzeMF(f, []topology.SKU{topology.S2, topology.S4})
-	if err != nil {
-		return nil, err
-	}
-	return skuBars(ss), nil
+	return skuBars(st.MF), nil
 }
 
 // Fig16 reproduces Fig 16: all-failure rate vs temperature bins.
 func (d *Data) Fig16() ([]BarPoint, error) { return cached(d, "fig16", d.fig16) }
 
-func (d *Data) fig16() ([]BarPoint, error) {
-	f, err := d.RackDays()
-	if err != nil {
-		return nil, err
-	}
-	sums, err := envan.BinnedRates(f, "failures")
-	if err != nil {
-		return nil, err
-	}
-	bars := make([]BarPoint, len(sums))
-	for i, s := range sums {
-		bars[i] = BarPoint{Label: envan.TempBinLabels[i], Mean: s.Mean, StdDev: s.StdDev, N: s.N}
-	}
-	return normalizeBars(bars), nil
-}
+func (d *Data) fig16() ([]BarPoint, error) { return d.tempBars("failures") }
 
 // Fig17 reproduces Fig 17: hard-disk failure rate vs temperature bins.
 func (d *Data) Fig17() ([]BarPoint, error) { return cached(d, "fig17", d.fig17) }
 
-func (d *Data) fig17() ([]BarPoint, error) {
+func (d *Data) fig17() ([]BarPoint, error) { return d.tempBars("disk_failures") }
+
+// tempBars summarizes a failure column over the Fig 16/17 temperature
+// bins.
+func (d *Data) tempBars(value string) ([]BarPoint, error) {
 	f, err := d.RackDays()
 	if err != nil {
 		return nil, err
 	}
-	sums, err := envan.BinnedRates(f, "disk_failures")
+	sums, err := envan.BinnedRates(f, value)
 	if err != nil {
 		return nil, err
 	}
@@ -566,11 +548,7 @@ type Fig18Result struct {
 func (d *Data) Fig18() (*Fig18Result, error) { return cached(d, "fig18", d.fig18) }
 
 func (d *Data) fig18() (*Fig18Result, error) {
-	f, err := d.RackDays()
-	if err != nil {
-		return nil, err
-	}
-	res, err := envan.Analyze(f, cart.Config{})
+	res, err := d.EnvAnalysis()
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -17,7 +18,7 @@ func testData(t *testing.T) *Data {
 	if cachedData != nil {
 		return cachedData
 	}
-	d, err := NewData(simulate.Config{
+	d, err := NewDataContext(context.Background(), simulate.Config{
 		Seed:     rngSeedForTests,
 		Days:     540,
 		Topology: topology.Config{RacksPerDC: [2]int{160, 140}},

@@ -5,7 +5,6 @@ import (
 
 	"rainshine/internal/climate"
 	"rainshine/internal/metrics"
-	"rainshine/internal/provision"
 	"rainshine/internal/tco"
 	"rainshine/internal/ticket"
 	"rainshine/internal/topology"
@@ -141,7 +140,7 @@ func (d *Data) tableIV() ([]TCOSaving, error) {
 	var out []TCOSaving
 	for _, g := range []metrics.Granularity{metrics.Daily, metrics.Hourly} {
 		for _, wl := range []topology.Workload{topology.W1, topology.W6} {
-			sl, err := provision.AnalyzeServerLevel(d.Res, wl, g, nil)
+			sl, err := d.ServerLevel(wl, g)
 			if err != nil {
 				return nil, err
 			}

@@ -44,7 +44,7 @@ func TestServeLoad(t *testing.T) {
 		clients           = 32
 		requestsPerClient = 6
 	)
-	// Warmup on: each build pre-materializes its figure cache through
+	// Warmup on: each build pre-materializes its memo through
 	// the study's worker pool before the registry publishes it, so the
 	// race detector sees the concurrent warmup path under real load.
 	srv := New(Config{CacheSize: len(loadConfigs), Timeout: time.Minute, Logf: t.Logf, Warmup: true})

@@ -54,7 +54,8 @@ type Config struct {
 	Workers int
 	// Warmup materializes every table and figure of a freshly built
 	// study — through the study's worker pool — before the registry
-	// publishes it, so the first requests are served from memory.
+	// publishes it. Figures share their analyses with the /v1 answers,
+	// so this also pre-answers q3 and part of q1 and q2.
 	Warmup bool
 	// Resilience tunes admission control, load shedding, the build
 	// circuit breaker, and the detached-build timeout. The zero value
@@ -125,7 +126,7 @@ func New(cfg Config) *Server {
 				return nil, err
 			}
 			// Warm inside the build so the singleflight publishes a
-			// study whose figure cache is already populated.
+			// study whose memo is already populated.
 			if err := st.Warmup(ctx); err != nil {
 				return nil, fmt.Errorf("server: warming study: %w", err)
 			}

@@ -54,15 +54,6 @@ type Config struct {
 	// ground truth — the dirty-data mode. Nil leaves every stream
 	// bit-identical to the clean run.
 	Faults *faults.Config
-	// CARTBins caps the histogram bin count the downstream tree
-	// analyses use when the binned split engine engages (0 means the
-	// cart package default). The simulation itself ignores it; it rides
-	// here because Config is the study-wide settings vehicle, like
-	// Workers.
-	CARTBins int
-	// CARTExact forces exact split search in the downstream tree
-	// analyses regardless of data size.
-	CARTExact bool
 }
 
 func (c Config) withDefaults() Config {

@@ -32,7 +32,6 @@ import (
 	"rainshine/internal/figures"
 	"rainshine/internal/ingest"
 	"rainshine/internal/metrics"
-	"rainshine/internal/predict"
 	"rainshine/internal/provision"
 	"rainshine/internal/repair"
 	"rainshine/internal/rng"
@@ -146,24 +145,6 @@ func WithWorkers(n int) Option {
 	return func(c *simulate.Config) { c.Workers = n }
 }
 
-// WithBins caps the histogram bin count for the fleet-scale binned
-// CART split search (default cart.DefaultBins = 255; values outside
-// [2, 255] make NewStudy fail with a cart.BinsRangeError). Fewer bins
-// trade split resolution for speed. Small studies that never trip the
-// auto-binning row threshold are unaffected. Any bin count is
-// deterministic for any worker count.
-func WithBins(n int) Option {
-	return func(c *simulate.Config) { c.CARTBins = n }
-}
-
-// WithExactSplits forces exact (presorted) CART split search in every
-// downstream analysis, even at data sizes where the binned engine
-// would normally engage — the reference path for auditing a binned
-// result.
-func WithExactSplits() Option {
-	return func(c *simulate.Config) { c.CARTExact = true }
-}
-
 // FaultConfig sets per-class rates for the deterministic fault injector
 // (dirty-data mode): sensor dropouts and stuck-at readings, duplicate
 // and clock-skewed tickets, and damaged export cells. See
@@ -193,6 +174,15 @@ type DataQuality = ingest.Report
 // audit on first call (and should come back clean).
 func (s *Study) Quality() (*DataQuality, error) { return s.data.Quality() }
 
+// coverage is the DataCoverage the answers report: the quality report's
+// coverage, or 0 if the report cannot be produced.
+func (s *Study) coverage() float64 {
+	if q, err := s.Quality(); err == nil {
+		return q.Coverage()
+	}
+	return 0
+}
+
 // Study is one simulated observation window plus cached analyses.
 type Study struct {
 	data *figures.Data
@@ -214,9 +204,6 @@ func NewStudyContext(ctx context.Context, opts ...Option) (*Study, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if err := cart.ValidateBins(cfg.CARTBins); err != nil {
-		return nil, fmt.Errorf("rainshine: %w", err)
-	}
 	d, err := figures.NewDataContext(ctx, cfg)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -231,27 +218,14 @@ func NewStudyContext(ctx context.Context, opts ...Option) (*Study, error) {
 // The CLI, benchmarks, and EXPERIMENTS.md are all built on this.
 func (s *Study) Figures() *figures.Data { return s.data }
 
-// workers returns the study-wide worker budget (simulate.Config
-// semantics: 0 means GOMAXPROCS, 1 means serial).
-func (s *Study) workers() int { return s.data.Res.Cfg.Workers }
-
-// cartConfig assembles the tree-learner settings from the study-wide
-// options: the worker budget plus the WithBins/WithExactSplits split
-// policy.
-func (s *Study) cartConfig() cart.Config {
-	cfg := cart.Config{Workers: s.workers(), Bins: s.data.Res.Cfg.CARTBins}
-	if s.data.Res.Cfg.CARTExact {
-		cfg.Split = cart.SplitExact
-	}
-	return cfg
-}
-
 // Warmup materializes every table and figure through the study's worker
-// pool and keeps them cached, so subsequent Figures() calls are served
-// from memory. Long-lived services call this once after construction;
-// one-shot batch runs don't need it.
+// pool ahead of first use. Figures share their analyses with the
+// answers, so this also pre-computes Q3 and part of Q1 (W1 and W6) and
+// Q2. Long-lived services call this once after construction; one-shot
+// batch runs don't need it, since everything is computed once on first
+// use anyway.
 func (s *Study) Warmup(ctx context.Context) error {
-	return s.data.Warmup(ctx, s.workers())
+	return s.data.Warmup(ctx, s.data.Res.Cfg.Workers)
 }
 
 // Tickets returns the study's full RMA ticket stream (including false
@@ -302,11 +276,8 @@ type ClusterInfo struct {
 // SpareProvisioning runs Q1-A for the workload at daily or hourly
 // granularity.
 func (s *Study) SpareProvisioning(wl Workload, hourly bool) (*SpareReport, error) {
-	g := metrics.Daily
-	if hourly {
-		g = metrics.Hourly
-	}
-	sl, err := provision.AnalyzeServerLevel(s.data.Res, wl, g, nil)
+	g := granularity(hourly)
+	sl, err := s.data.ServerLevel(wl, g)
 	if err != nil {
 		return nil, err
 	}
@@ -315,10 +286,11 @@ func (s *Study) SpareProvisioning(wl Workload, hourly bool) (*SpareReport, error
 		return nil, err
 	}
 	rep := &SpareReport{
-		Workload:    wl.String(),
-		Granularity: g.String(),
-		SLAs:        sl.SLAs,
-		OverprovPct: map[string][]float64{},
+		Workload:     wl.String(),
+		Granularity:  g.String(),
+		SLAs:         sl.SLAs,
+		OverprovPct:  map[string][]float64{},
+		DataCoverage: s.coverage(),
 	}
 	for _, a := range []provision.Approach{provision.LB, provision.MF, provision.SF} {
 		pct := make([]float64, len(sl.SLAs))
@@ -329,9 +301,6 @@ func (s *Study) SpareProvisioning(wl Workload, hourly bool) (*SpareReport, error
 	}
 	for _, v := range savings {
 		rep.TCOSavingsPct = append(rep.TCOSavingsPct, 100*v)
-	}
-	if q, err := s.Quality(); err == nil {
-		rep.DataCoverage = q.Coverage()
 	}
 	if sl.Clustering != nil {
 		rep.FactorRanking = sl.Clustering.Tree.RankedFeatures()
@@ -383,16 +352,7 @@ func (s *Study) VendorComparison(priceRatios ...float64) (*VendorReport, error) 
 	if len(priceRatios) == 0 {
 		priceRatios = []float64{1.0, 1.5}
 	}
-	f, err := s.data.RackDays()
-	if err != nil {
-		return nil, err
-	}
-	pair := []topology.SKU{topology.S2, topology.S4}
-	sf, err := skucmp.AnalyzeSF(f, pair)
-	if err != nil {
-		return nil, err
-	}
-	mf, err := skucmp.AnalyzeMF(f, pair)
+	st, err := s.data.VendorStats()
 	if err != nil {
 		return nil, err
 	}
@@ -404,19 +364,19 @@ func (s *Study) VendorComparison(priceRatios ...float64) (*VendorReport, error) 
 		}
 		return skucmp.Stats{}, fmt.Errorf("rainshine: no stats for %s", sku)
 	}
-	sfS2, err := pick(sf, "S2")
+	sfS2, err := pick(st.SF, "S2")
 	if err != nil {
 		return nil, err
 	}
-	sfS4, err := pick(sf, "S4")
+	sfS4, err := pick(st.SF, "S4")
 	if err != nil {
 		return nil, err
 	}
-	mfS2, err := pick(mf, "S2")
+	mfS2, err := pick(st.MF, "S2")
 	if err != nil {
 		return nil, err
 	}
-	mfS4, err := pick(mf, "S4")
+	mfS4, err := pick(st.MF, "S4")
 	if err != nil {
 		return nil, err
 	}
@@ -428,32 +388,32 @@ func (s *Study) VendorComparison(priceRatios ...float64) (*VendorReport, error) 
 	if err != nil {
 		return nil, err
 	}
-	sig, err := skucmp.MFSignificance(f, topology.S2, topology.S4)
-	if err != nil {
-		return nil, err
+	if st.SigErr != nil {
+		return nil, st.SigErr
 	}
-	rep := &VendorReport{
-		RatioSF:  sfS2.Avg / sfS4.Avg,
-		RatioMF:  mfS2.Avg / mfS4.Avg,
-		Verdicts: verdicts,
-		PValue:   sig.PairedT,
-		Strata:   sig.Strata,
-	}
-	if q, err := s.Quality(); err == nil {
-		rep.DataCoverage = q.Coverage()
-	}
-	return rep, nil
+	return &VendorReport{
+		RatioSF:      sfS2.Avg / sfS4.Avg,
+		RatioMF:      mfS2.Avg / mfS4.Avg,
+		Verdicts:     verdicts,
+		PValue:       st.Sig.PairedT,
+		Strata:       st.Sig.Strata,
+		DataCoverage: s.coverage(),
+	}, nil
 }
 
 // PoolingAnalysis quantifies Section II's shared-vs-dedicated spare
 // pool question: total spares needed at 100% availability when pools are
 // shared at each scope from per-rack to globally.
 func (s *Study) PoolingAnalysis(hourly bool) ([]provision.PoolRequirement, error) {
-	g := metrics.Daily
+	return provision.AnalyzePooling(s.data.Res, granularity(hourly))
+}
+
+// granularity maps the facade's hourly flag to a μ window.
+func granularity(hourly bool) metrics.Granularity {
 	if hourly {
-		g = metrics.Hourly
+		return metrics.Hourly
 	}
-	return provision.AnalyzePooling(s.data.Res, g)
+	return metrics.Daily
 }
 
 // RepairPolicy compares replace-vs-service economics per component class
@@ -513,22 +473,23 @@ func AnalyzeClimateCSV(r io.Reader) (*ClimateReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	return climateReport(res, fq.Coverage()), nil
+}
+
+// climateReport builds the Q3 answer from an envan result. Penalties
+// are only meaningful with enough exposure in each regime; DC2's
+// chilled-water plant rarely strays above the threshold at all, which
+// is itself the Fig 18 finding (no entry = insensitive).
+func climateReport(res *envan.Result, coverage float64) *ClimateReport {
 	rep := &ClimateReport{
 		TempThresholdF:  res.Thresholds.TempF,
 		RHThreshold:     res.Thresholds.RH,
 		HotPenalty:      map[string]float64{},
 		DryPenalty:      map[string]float64{},
 		Tree:            res.Tree,
-		DataCoverage:    fq.Coverage(),
+		DataCoverage:    coverage,
 		MissingFeatures: res.DroppedFeatures,
 	}
-	fillPenalties(rep, res)
-	return rep, nil
-}
-
-// fillPenalties populates the per-DC hot/dry penalty ratios from the
-// grouped rates, requiring minimal exposure in each regime.
-func fillPenalties(rep *ClimateReport, res *envan.Result) {
 	const minExposure = 30
 	for _, g := range res.Groups {
 		if g.Cool.N >= minExposure && g.Cool.Mean > 0 && g.Hot.N >= minExposure {
@@ -538,6 +499,7 @@ func fillPenalties(rep *ClimateReport, res *envan.Result) {
 			rep.DryPenalty[g.DC] = g.HotDry.Mean / g.Hot.Mean
 		}
 	}
+	return rep
 }
 
 // EnvironmentAlarms scans the study's climate telemetry against the
@@ -576,11 +538,7 @@ type PredictionReport struct {
 // FailurePrediction trains and evaluates the rack-day failure predictor
 // on this study's telemetry.
 func (s *Study) FailurePrediction() (*PredictionReport, error) {
-	f, err := s.data.RackDays()
-	if err != nil {
-		return nil, err
-	}
-	res, err := predict.Train(f, predict.Config{Balance: true, Workers: s.workers()})
+	res, err := s.data.Prediction()
 	if err != nil {
 		return nil, err
 	}
@@ -633,31 +591,14 @@ func (s *Study) ClimateGuidance() (*ClimateReport, error) {
 
 // ClimateGuidanceContext is ClimateGuidance under a context: the Q3
 // pipeline (three CART fits, PDP grids, the humidity boundary scan)
-// fans across the study's worker pool and stops early when ctx is
-// canceled — the variant the serving path uses per request.
+// runs once per study, shared with Fig 18, and fans across the study's
+// worker pool. A canceled ctx stops this caller's wait or computation
+// early; a canceled computation is not kept, so the next caller
+// recomputes. This is the variant the serving path uses per request.
 func (s *Study) ClimateGuidanceContext(ctx context.Context) (*ClimateReport, error) {
-	f, err := s.data.RackDays()
+	res, err := s.data.EnvAnalysisContext(ctx)
 	if err != nil {
 		return nil, err
 	}
-	res, err := envan.AnalyzeContext(ctx, f, s.cartConfig())
-	if err != nil {
-		return nil, err
-	}
-	rep := &ClimateReport{
-		TempThresholdF:  res.Thresholds.TempF,
-		RHThreshold:     res.Thresholds.RH,
-		HotPenalty:      map[string]float64{},
-		DryPenalty:      map[string]float64{},
-		Tree:            res.Tree,
-		MissingFeatures: res.DroppedFeatures,
-	}
-	if q, err := s.Quality(); err == nil {
-		rep.DataCoverage = q.Coverage()
-	}
-	// Penalties are only meaningful with enough exposure in each regime;
-	// DC2's chilled-water plant rarely strays above the threshold at all,
-	// which is itself the Fig 18 finding (no entry = insensitive).
-	fillPenalties(rep, res)
-	return rep, nil
+	return climateReport(res, s.coverage()), nil
 }

@@ -2,12 +2,9 @@ package rainshine
 
 import (
 	"bytes"
-	"errors"
 	"math"
 	"strings"
 	"testing"
-
-	"rainshine/internal/cart"
 )
 
 var cachedStudy *Study
@@ -142,45 +139,6 @@ func TestClimateGuidanceReport(t *testing.T) {
 	}
 }
 
-func TestSplitPolicyOptions(t *testing.T) {
-	s, err := NewStudy(WithSeed(7), WithDays(30), WithRacks(10, 10), WithBins(64), WithExactSplits())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := s.cartConfig()
-	if cfg.Bins != 64 {
-		t.Errorf("cartConfig Bins = %d, want 64", cfg.Bins)
-	}
-	if cfg.Split != cart.SplitExact {
-		t.Errorf("cartConfig Split = %v, want SplitExact", cfg.Split)
-	}
-	// Defaults: auto split selection, package-default bin cap.
-	d, err := NewStudy(WithSeed(7), WithDays(30), WithRacks(10, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dc := d.cartConfig(); dc.Split != cart.SplitAuto || dc.Bins != 0 {
-		t.Errorf("default cartConfig = %+v", dc)
-	}
-	// The small-study Q3 path is below the auto-binning threshold, so
-	// the forced-exact study must agree with the default byte for byte.
-	re, err := s.ClimateGuidance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sd, err := NewStudy(WithSeed(7), WithDays(30), WithRacks(10, 10), WithBins(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd, err := sd.ClimateGuidance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Tree.String() != rd.Tree.String() {
-		t.Errorf("exact vs auto small-study trees differ:\n%s\n%s", re.Tree, rd.Tree)
-	}
-}
-
 func TestStudyDeterminism(t *testing.T) {
 	a, err := NewStudy(WithSeed(9), WithDays(60), WithRacks(15, 15))
 	if err != nil {
@@ -304,15 +262,5 @@ func TestAnalyzeClimateCSVErrors(t *testing.T) {
 	}
 	if _, err := AnalyzeClimateCSV(strings.NewReader("")); err == nil {
 		t.Error("empty CSV should error")
-	}
-}
-
-func TestNewStudyRejectsBadBins(t *testing.T) {
-	// The check runs before any simulation, so even paper-scale options
-	// fail instantly.
-	_, err := NewStudy(WithBins(1))
-	var bre *cart.BinsRangeError
-	if !errors.As(err, &bre) || bre.Bins != 1 {
-		t.Fatalf("NewStudy(WithBins(1)) err = %v, want *cart.BinsRangeError", err)
 	}
 }
