@@ -49,7 +49,8 @@ race:
 
 # Full benchmark sweep, then the regression snapshot: TestBenchAnalysis
 # records ns/op + allocs/op for the hot analyses (CART fit, CV, Q3,
-# figure regeneration, predictor training) to BENCH_analysis.json.
+# figure regeneration, predictor training, PDP) to BENCH_analysis.json,
+# each mark stamped with the GOMAXPROCS it ran under.
 bench:
 	$(GO) test -bench=. -benchmem .
 	RAINSHINE_BENCH_OUT=$(CURDIR)/BENCH_analysis.json \
@@ -150,6 +151,7 @@ fuzz:
 	$(GO) test -fuzz FuzzIngestTickets -fuzztime 30s ./internal/ingest/
 	$(GO) test -fuzz FuzzQuantile -fuzztime 30s ./internal/stats/
 	$(GO) test -fuzz FuzzChiSquareCDF -fuzztime 30s ./internal/stats/
+	$(GO) test -fuzz FuzzComputeMatchesBruteForce -fuzztime 30s ./internal/pdp/
 
 clean:
 	rm -f test_output.txt bench_output.txt

@@ -28,10 +28,12 @@ import (
 
 	"rainshine/internal/benchsnap"
 	"rainshine/internal/cart"
+	"rainshine/internal/envan"
 	"rainshine/internal/failure"
 	"rainshine/internal/figures"
 	"rainshine/internal/frame"
 	"rainshine/internal/metrics"
+	"rainshine/internal/pdp"
 	"rainshine/internal/predict"
 	"rainshine/internal/provision"
 	"rainshine/internal/repair"
@@ -387,6 +389,24 @@ func BenchmarkAblationClusterBudget(b *testing.B) {
 	}
 }
 
+// BenchmarkPDP measures the partial dependence of the Q3 multi-factor
+// tree's disk-failure response on temperature over the shared study's
+// rack-day frame, the probe envan's Fig 18 curves make: grid pick, one
+// tree descent per row, and the per-grid-point row sums.
+func BenchmarkPDP(b *testing.B) {
+	f, err := benchData(b).Figures().RackDays()
+	benchErr(b, err)
+	// The growth rules envan applies to its multi-factor tree.
+	tree, err := cart.Fit(f, "disk_failures", envan.MFFeatures,
+		cart.Config{Task: cart.Regression, MaxDepth: 8, MinSplit: 2000, MinLeaf: 700, CP: 0.00005})
+	benchErr(b, err)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, err := pdp.ComputeContext(context.Background(), tree, f, "temp", 20, 0)
+		benchErr(b, err)
+	}
+}
+
 // BenchmarkPredictTrain measures training and evaluating the failure
 // predictor on the shared study's rack-day table.
 func BenchmarkPredictTrain(b *testing.B) {
@@ -479,7 +499,7 @@ func prePresortBaselines() map[string]benchsnap.Result {
 
 // TestBenchAnalysis snapshots the hot-path benchmarks (CART fit,
 // cross-validation, the Q3 pipeline, figure regeneration, predictor
-// training) to the JSON file named by RAINSHINE_BENCH_OUT, so `make
+// training, partial dependence) to the JSON file named by RAINSHINE_BENCH_OUT, so `make
 // bench` leaves a committed record that regressions diff against. Skipped
 // when the variable is unset.
 func TestBenchAnalysis(t *testing.T) {
@@ -496,6 +516,7 @@ func TestBenchAnalysis(t *testing.T) {
 		{"q3_climate_guidance", BenchmarkClimateGuidance},
 		{"figure_regen", BenchmarkFigureRegen},
 		{"predict_train", BenchmarkPredictTrain},
+		{"pdp_compute", BenchmarkPDP},
 	}
 	doc, err := benchsnap.Read(out)
 	if err != nil {

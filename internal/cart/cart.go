@@ -993,29 +993,34 @@ func (t *Tree) Depth() int {
 	return d(t.Root)
 }
 
+// GoesLeft reports whether value v of internal node n's split feature
+// routes to n's left child. It is the tree's one routing rule: a
+// missing (non-finite) value or a nominal code outside the training
+// levels follows DefaultLeft, a nominal level follows LeftSet, and any
+// other value goes left when v <= Threshold.
+func (t *Tree) GoesLeft(n *Node, v float64) bool {
+	feat := &t.Features[n.Feature]
+	switch {
+	case !isFinite(v):
+		// Missing value: follow the majority child, mirroring the
+		// training-time assignment.
+		return n.DefaultLeft
+	case feat.Kind == frame.Nominal:
+		c := int(v)
+		if c < 0 || c >= len(feat.Levels) {
+			return n.DefaultLeft
+		}
+		return n.inLeftSet(c)
+	default:
+		return v <= n.Threshold
+	}
+}
+
 // leafFor routes one row (given as per-feature values) to its leaf.
 func (t *Tree) leafFor(x []float64) *Node {
 	n := t.Root
 	for !n.IsLeaf() {
-		feat := t.Features[n.Feature]
-		v := x[n.Feature]
-		var goLeft bool
-		switch {
-		case !isFinite(v):
-			// Missing value: follow the majority child, mirroring the
-			// training-time assignment.
-			goLeft = n.DefaultLeft
-		case feat.Kind == frame.Nominal:
-			c := int(v)
-			if c < 0 || c >= len(feat.Levels) {
-				goLeft = n.DefaultLeft
-			} else {
-				goLeft = n.inLeftSet(c)
-			}
-		default:
-			goLeft = v <= n.Threshold
-		}
-		if goLeft {
+		if t.GoesLeft(n, x[n.Feature]) {
 			n = n.Left
 		} else {
 			n = n.Right

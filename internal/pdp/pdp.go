@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"rainshine/internal/cart"
@@ -51,8 +52,18 @@ func Compute(tree *cart.Tree, f *frame.Frame, feature string, gridSize int) ([]P
 }
 
 // ComputeContext is Compute with the grid points fanned across workers.
-// Each point owns its slot of the curve and keeps the serial row-sum
-// order, so the curve is identical for every worker count.
+//
+// The result is exact: each Effect is the brute-force average of
+// tree.Predict over every row of f with the feature set to the grid
+// value, made of the same float additions in the same (row) order, so
+// it is bit-identical to that loop and to itself at every worker
+// count. It gets there without routing every row once per grid point.
+// The grid is split into one contiguous run per worker, and each worker
+// descends every row once with its run of grid points open: a split on
+// the feature divides the open points between the children by the
+// tree's own rule (cart.(*Tree).GoesLeft, settled once per run), every
+// other split follows the row's value by the same rule, and each leaf
+// reached adds its value to the sums of the points still open there.
 func ComputeContext(ctx context.Context, tree *cart.Tree, f *frame.Frame, feature string, gridSize, workers int) ([]Point, error) {
 	if gridSize <= 0 {
 		gridSize = 20
@@ -77,8 +88,8 @@ func ComputeContext(ctx context.Context, tree *cart.Tree, f *frame.Frame, featur
 		for li, lvl := range feat.Levels {
 			grid = append(grid, Point{Value: float64(li), Label: lvl})
 		}
-	} else {
-		grid = continuousGrid(col.Data, gridSize)
+	} else if grid = continuousGrid(col.Data, gridSize); len(grid) == 0 {
+		return nil, fmt.Errorf("pdp: feature %q has no finite values to probe", feature)
 	}
 	// Materialize the feature matrix once.
 	cols := make([][]float64, len(tree.Features))
@@ -89,21 +100,27 @@ func ComputeContext(ctx context.Context, tree *cart.Tree, f *frame.Frame, featur
 		}
 		cols[i] = c.Values()
 	}
-	err = parallel.ForEach(ctx, workers, len(grid), func(gi int) error {
-		x := make([]float64, len(cols))
-		sum := 0.0
-		for r := 0; r < f.NumRows(); r++ {
-			for i, c := range cols {
-				x[i] = c[r]
-			}
-			x[fi] = grid[gi].Value
-			p, err := tree.Predict(x)
-			if err != nil {
-				return err
-			}
-			sum += p
+	rows := f.NumRows()
+	runs := parallel.Chunks(len(grid), parallel.Workers(workers))
+	err = parallel.ForEach(ctx, workers, len(runs), func(ri int) error {
+		lo, hi := runs[ri][0], runs[ri][1]
+		open := make([]int32, 0, hi-lo)
+		for g := lo; g < hi; g++ {
+			open = append(open, int32(g))
 		}
-		grid[gi].Effect = sum / float64(f.NumRows())
+		w := walker{fi: fi, tree: tree, cols: cols, sum: make([]float64, len(grid))}
+		root := w.mirror(tree.Root, grid, open)
+		for r := 0; r < rows; r++ {
+			if r%(1<<16) == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			w.walk(root, r)
+		}
+		for g := lo; g < hi; g++ {
+			grid[g].Effect = w.sum[g] / float64(rows)
+		}
 		return nil
 	})
 	if err != nil {
@@ -112,22 +129,160 @@ func ComputeContext(ctx context.Context, tree *cart.Tree, f *frame.Frame, featur
 	return grid, nil
 }
 
-// continuousGrid returns quantile-spaced probe points over data.
+// walker descends rows with the feature of interest fi set to a run of
+// grid values at once, summing each grid point's predictions.
+type walker struct {
+	fi   int
+	tree *cart.Tree
+	cols [][]float64
+	sum  []float64 // by grid index
+}
+
+// wnode mirrors a tree node for one run of grid points. Which of them
+// can reach the node depends only on the splits on fi above it, so the
+// mirror settles them once instead of once per row.
+type wnode struct {
+	n           *cart.Node
+	left, right *wnode  // nil where none of the run's points is open
+	open        []int32 // at a leaf: the grid points that reach it
+}
+
+// mirror builds the wnode of n with the grid points in open able to
+// reach it, or nil when open is empty.
+func (w *walker) mirror(n *cart.Node, grid []Point, open []int32) *wnode {
+	if len(open) == 0 {
+		return nil
+	}
+	m := &wnode{n: n}
+	if n.IsLeaf() {
+		m.open = open
+		return m
+	}
+	left, right := open, open
+	if n.Feature == w.fi {
+		left, right = nil, nil
+		for _, g := range open {
+			if w.tree.GoesLeft(n, grid[g].Value) {
+				left = append(left, g)
+			} else {
+				right = append(right, g)
+			}
+		}
+	}
+	m.left, m.right = w.mirror(n.Left, grid, left), w.mirror(n.Right, grid, right)
+	return m
+}
+
+// walk adds row r's prediction at every grid point open below m to
+// that point's sum: splits on fi follow both children, every other
+// split follows the row's own value.
+func (w *walker) walk(m *wnode, r int) {
+	for m != nil {
+		n := m.n
+		switch {
+		case n.IsLeaf():
+			for _, g := range m.open {
+				w.sum[g] += n.Value
+			}
+			return
+		case n.Feature == w.fi:
+			w.walk(m.left, r)
+			m = m.right
+		case w.tree.GoesLeft(n, w.cols[n.Feature][r]):
+			m = m.left
+		default:
+			m = m.right
+		}
+	}
+}
+
+// continuousGrid returns quantile-spaced probe points over the finite
+// cells of data: for i in [0, gridSize) the order statistic of rank
+// int(i/(gridSize-1)·(n-1)) (rank 0 when gridSize is 1), duplicates
+// dropped. Non-finite cells are no probe points; a column without
+// finite cells yields no grid.
 func continuousGrid(data []float64, gridSize int) []Point {
-	sorted := append([]float64(nil), data...)
-	sort.Float64s(sorted)
+	vals := make([]float64, 0, len(data))
+	for _, v := range data {
+		if !math.IsNaN(v) && !math.IsInf(v, 0) {
+			vals = append(vals, v)
+		}
+	}
+	if len(vals) == 0 {
+		return nil
+	}
 	var pts []Point
-	seen := map[float64]bool{}
+	prev := 0
 	for i := 0; i < gridSize; i++ {
-		p := float64(i) / float64(gridSize-1)
-		k := int(p * float64(len(sorted)-1))
-		v := sorted[k]
-		if !seen[v] {
-			seen[v] = true
+		p := 0.0
+		if gridSize > 1 {
+			p = float64(i) / float64(gridSize-1)
+		}
+		// The ranks ascend, and selecting rank prev left every cell at
+		// or below it in vals[:prev+1], so each search starts there.
+		k := int(p * float64(len(vals)-1))
+		v := selectRank(vals[prev:], k-prev)
+		prev = k
+		if len(pts) == 0 || v != pts[len(pts)-1].Value {
 			pts = append(pts, Point{Value: v})
 		}
 	}
 	return pts
+}
+
+// selectRank reorders the NaN-free slice a so that a[k] holds the value
+// an ascending sort would put there, nothing in a[:k] is greater and
+// nothing in a[k+1:] is smaller, and returns a[k]. It is a quickselect
+// with a median-of-three pivot; should the pivots keep landing badly,
+// the budget runs out and the remaining range is sorted instead.
+func selectRank(a []float64, k int) float64 {
+	lo, hi := 0, len(a)-1
+	for budget := 2 * bits.Len(uint(len(a))); lo < hi; budget-- {
+		if budget == 0 {
+			sort.Float64s(a[lo : hi+1])
+			break
+		}
+		pivot := median3(a[lo], a[lo+(hi-lo)/2], a[hi])
+		// Hoare partition; both scans stop at the pivot's value, so
+		// heavy ties still split near the middle. Afterwards
+		// a[lo:j+1] <= pivot, a[i:hi+1] >= pivot, and a[j+1:i] == pivot.
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for a[j] > pivot {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return a[k]
+		}
+	}
+	return a[k]
+}
+
+func median3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	if a > b {
+		return a
+	}
+	return b
 }
 
 // LevelEffect summarizes the adjusted metric for one level of the
