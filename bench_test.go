@@ -32,6 +32,7 @@ import (
 	"rainshine/internal/failure"
 	"rainshine/internal/figures"
 	"rainshine/internal/frame"
+	"rainshine/internal/ingest"
 	"rainshine/internal/metrics"
 	"rainshine/internal/pdp"
 	"rainshine/internal/predict"
@@ -356,6 +357,19 @@ func BenchmarkRackDayFrame(b *testing.B) {
 	}
 }
 
+// BenchmarkTicketAudit measures the quality audit of the shared study's
+// recorded streams, the work behind a study's first Quality(): ticket
+// validation and dedup, the repeat-order check and the sensor gap scan,
+// with nothing rewritten.
+func BenchmarkTicketAudit(b *testing.B) {
+	s := benchData(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, err := ingest.Audit(s.Figures().Res)
+		benchErr(b, err)
+	}
+}
+
 // BenchmarkClimateGuidance measures the full Q3 pipeline on a fresh
 // fork of the shared study: MF fit, baseline fit, residual environment tree, hot-regime RH
 // scan, PDP grids, and per-DC group rates.
@@ -499,7 +513,8 @@ func prePresortBaselines() map[string]benchsnap.Result {
 
 // TestBenchAnalysis snapshots the hot-path benchmarks (CART fit,
 // cross-validation, the Q3 pipeline, figure regeneration, predictor
-// training, partial dependence) to the JSON file named by RAINSHINE_BENCH_OUT, so `make
+// training, partial dependence, and the cold-build layers: simulation,
+// the rack-day frame, the ticket audit) to the JSON file named by RAINSHINE_BENCH_OUT, so `make
 // bench` leaves a committed record that regressions diff against. Skipped
 // when the variable is unset.
 func TestBenchAnalysis(t *testing.T) {
@@ -517,6 +532,9 @@ func TestBenchAnalysis(t *testing.T) {
 		{"figure_regen", BenchmarkFigureRegen},
 		{"predict_train", BenchmarkPredictTrain},
 		{"pdp_compute", BenchmarkPDP},
+		{"simulate_year", BenchmarkSimulateYear},
+		{"rackday_frame", BenchmarkRackDayFrame},
+		{"ticket_audit", BenchmarkTicketAudit},
 	}
 	doc, err := benchsnap.Read(out)
 	if err != nil {

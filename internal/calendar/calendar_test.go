@@ -82,3 +82,28 @@ func TestWeekOfYear(t *testing.T) {
 		t.Errorf("WeekNames = %v...", names[:2])
 	}
 }
+
+// TestArithmeticMatchesTime pins every integer accessor to the time
+// package's answer for each day within ±800,000 days (about ±2,190
+// years) of the epoch. Commission days run up to five years before the
+// epoch, so negative offsets are exercised on purpose.
+func TestArithmeticMatchesTime(t *testing.T) {
+	const span = 800_000
+	date := Date(-span)
+	for day := -span; day <= span; day++ {
+		wantWeek := (date.YearDay() - 1) / 7
+		if wantWeek > 52 {
+			wantWeek = 52
+		}
+		if Weekday(day) != int(date.Weekday()) ||
+			IsWeekend(day) != (date.Weekday() == time.Saturday || date.Weekday() == time.Sunday) ||
+			Month(day) != int(date.Month())-1 ||
+			YearIndex(day) != date.Year()-Epoch.Year() ||
+			DayOfYear(day) != date.YearDay()-1 ||
+			WeekOfYear(day) != wantWeek {
+			t.Fatalf("day %d (%s): weekday %d month %d year %d doy %d week %d",
+				day, date.Format("2006-01-02"), Weekday(day), Month(day), YearIndex(day), DayOfYear(day), WeekOfYear(day))
+		}
+		date = date.Add(24 * time.Hour)
+	}
+}

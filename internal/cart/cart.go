@@ -300,7 +300,7 @@ func FitContext(ctx context.Context, f *frame.Frame, target string, features []s
 	// as the NaN sentinel the scans expect.
 	cols := make([][]float64, len(colRefs))
 	for i, c := range colRefs {
-		cols[i] = c.Values()
+		cols[i] = unknownLevelsMissing(t.Features[i], c.Values())
 	}
 	b := &builder{cfg: cfg, ctx: ctx, tree: t, y: y, cols: cols}
 	if cfg.Task == Classification {
@@ -607,6 +607,36 @@ func (b *builder) partition(n *Node, rows nodeRows) (left, right nodeRows) {
 		return nil
 	})
 	return left, right
+}
+
+// unknownLevelsMissing returns a feature's training values with every
+// unknown level (see unknownLevel) replaced by NaN, so the exact engine
+// trains on such cells as missing, the route GoesLeft gives them at
+// prediction. The values are copied only when there is one to replace.
+func unknownLevelsMissing(ft Feature, vals []float64) []float64 {
+	if ft.Kind != frame.Nominal {
+		return vals
+	}
+	var out []float64
+	for i, v := range vals {
+		if unknownLevel(ft, v) {
+			if out == nil {
+				out = slices.Clone(vals)
+			}
+			out[i] = math.NaN()
+		}
+	}
+	if out == nil {
+		return vals
+	}
+	return out
+}
+
+// unknownLevel reports whether v is a finite nominal code outside the
+// feature's level table (-1, len(Levels), ...).
+func unknownLevel(ft Feature, v float64) bool {
+	c := int(v)
+	return ft.Kind == frame.Nominal && isFinite(v) && (c < 0 || c >= len(ft.Levels))
 }
 
 // isFinite reports whether a feature cell carries a usable value.

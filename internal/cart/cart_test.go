@@ -1,6 +1,7 @@
 package cart
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -610,5 +611,99 @@ func TestValidateBins(t *testing.T) {
 		if !strings.Contains(err.Error(), "[2, 255]") {
 			t.Errorf("ValidateBins(%d) error %q does not state the range", n, err)
 		}
+	}
+}
+
+// TestUnknownNominalCodesTrainAsMissing: a float-backed nominal column
+// may carry finite codes outside its level table (-1, len(Levels)).
+// Both engines and the refitter must train on such cells exactly as on
+// missing ones (no panic, the same tree), and a row holding one must
+// route like a missing value.
+func TestUnknownNominalCodesTrainAsMissing(t *testing.T) {
+	const n = 600
+	levels := []string{"a", "b", "c"}
+	src := rng.New(5)
+	bad := make([]float64, n)  // codes with -1 and len(levels) mixed in
+	miss := make([]float64, n) // the same cells as NaN
+	x := make([]float64, n)
+	y := make([]float64, n)
+	for i := range bad {
+		c := float64(src.IntN(len(levels)))
+		bad[i], miss[i] = c, c
+		switch {
+		case i%7 == 0:
+			bad[i], miss[i] = -1, math.NaN()
+		case i%11 == 0:
+			bad[i], miss[i] = float64(len(levels)), math.NaN()
+		}
+		x[i] = src.Float64() * 10
+		y[i] = x[i] + src.Float64()
+		if c == 1 {
+			y[i] += 20
+		}
+	}
+	build := func(cat []float64) *frame.Frame {
+		f := frame.New(n)
+		if err := f.AddColumn(frame.Column{Name: "cat", Kind: frame.Nominal, Data: cat, Levels: levels}); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.AddContinuous("x", x); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.AddContinuous("y", y); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	fBad, fMiss := build(bad), build(miss)
+	feats := []string{"cat", "x"}
+	for _, split := range []SplitMethod{SplitExact, SplitBinned} {
+		cfg := Config{Task: Regression, Split: split, MaxDepth: 4, MinLeaf: 5}
+		tb, err := Fit(fBad, "y", feats, cfg)
+		if err != nil {
+			t.Fatalf("split=%d: %v", split, err)
+		}
+		tm, err := Fit(fMiss, "y", feats, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tb.String() != tm.String() {
+			t.Fatalf("split=%d: unknown codes trained a different tree than missing cells:\n%s\nvs\n%s", split, tb, tm)
+		}
+		if tb.Root.IsLeaf() || tb.Features[tb.Root.Feature].Name != "cat" {
+			t.Fatalf("split=%d: expected a root split on cat:\n%s", split, tb)
+		}
+		for _, code := range []float64{-1, float64(len(levels))} {
+			for _, xv := range []float64{1, 9} {
+				got, _ := tb.Predict([]float64{code, xv})
+				want, _ := tb.Predict([]float64{math.NaN(), xv})
+				if got != want {
+					t.Errorf("split=%d: code %v predicts %v, missing predicts %v", split, code, got, want)
+				}
+			}
+		}
+	}
+
+	// The incremental refitter shares the exact engine.
+	refit := func(cat []float64) *Tree {
+		r, err := NewRefitter("y", []Feature{{Name: "cat", Kind: frame.Nominal, Levels: levels}, {Name: "x", Kind: frame.Continuous}},
+			nil, RefitConfig{Config: Config{Task: Regression, MaxDepth: 4, MinLeaf: 5}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([][]float64, n)
+		for i := range rows {
+			rows[i] = []float64{cat[i], x[i]}
+		}
+		if err := r.Append(rows, y); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Refit(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return r.Tree()
+	}
+	if rb, rm := refit(bad), refit(miss); rb.String() != rm.String() {
+		t.Errorf("refitter: unknown codes trained a different tree than missing cells")
 	}
 }

@@ -178,7 +178,11 @@ func (r *Refitter) Append(rows [][]float64, y []float64) error {
 	for fi := range r.feats {
 		col := r.cols[fi]
 		for _, row := range rows {
-			col = append(col, row[fi])
+			v := row[fi]
+			if unknownLevel(r.feats[fi], v) {
+				v = math.NaN() // trained and routed as missing, as in Fit
+			}
+			col = append(col, v)
 		}
 		r.cols[fi] = col
 		if r.feats[fi].Kind == frame.Nominal {

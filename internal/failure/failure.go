@@ -267,8 +267,10 @@ func (m *Model) EnvMultiplier(c Component, cond climate.Conditions) float64 {
 }
 
 // DeviceHazard returns the per-device-day failure probability intensity
-// for component c in the rack on the day.
-func (m *Model) DeviceHazard(c Component, rack *topology.Rack, day int, cond climate.Conditions) float64 {
+// for component c under the rack-day's CommonMultiplier and conditions.
+// Callers compute the common multiplier once per rack-day and share it
+// across components.
+func (m *Model) DeviceHazard(c Component, common float64, cond climate.Conditions) float64 {
 	base := 0.0
 	switch c {
 	case Disk:
@@ -278,12 +280,13 @@ func (m *Model) DeviceHazard(c Component, rack *topology.Rack, day int, cond cli
 	case ServerOther:
 		base = m.P.ServerBase
 	}
-	return base * m.CommonMultiplier(rack, day) * m.EnvMultiplier(c, cond)
+	return base * common * m.EnvMultiplier(c, cond)
 }
 
 // RackHazard returns the expected failure count for component c across
-// the whole rack on the day (per-device hazard times device count).
-func (m *Model) RackHazard(c Component, rack *topology.Rack, day int, cond climate.Conditions) float64 {
+// the whole rack (per-device hazard times device count), given the
+// rack-day's CommonMultiplier.
+func (m *Model) RackHazard(c Component, rack *topology.Rack, common float64, cond climate.Conditions) float64 {
 	n := 0
 	switch c {
 	case Disk:
@@ -293,7 +296,7 @@ func (m *Model) RackHazard(c Component, rack *topology.Rack, day int, cond clima
 	case ServerOther:
 		n = rack.Servers
 	}
-	return float64(n) * m.DeviceHazard(c, rack, day, cond)
+	return float64(n) * m.DeviceHazard(c, common, cond)
 }
 
 // ShockProbability returns the per-day probability that the rack suffers

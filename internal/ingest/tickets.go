@@ -51,21 +51,18 @@ func ValidateTicket(t *ticket.Ticket, b TicketBounds) error {
 func ScrubTickets(ts []ticket.Ticket, b TicketBounds, rep *Report, repair bool) []ticket.Ticket {
 	rep.TicketsIn += len(ts)
 	kept := make([]ticket.Ticket, 0, len(ts))
-	seen := make(map[ticket.Ticket]bool, len(ts))
-	for _, t := range ts {
-		if err := ValidateTicket(&t, b); err != nil {
+	seen := newTicketSet(len(ts))
+	for i := range ts {
+		if err := ValidateTicket(&ts[i], b); err != nil {
 			rep.Quarantined[classOfTicketErr(err)]++
 			continue
 		}
 		// Dedup on content: identical in every field but the ID.
-		key := t
-		key.ID = 0
-		if seen[key] {
+		if !seen.add(ts, i) {
 			rep.Quarantined[DuplicateTicket]++
 			continue
 		}
-		seen[key] = true
-		kept = append(kept, t)
+		kept = append(kept, ts[i])
 	}
 	repairRepeats(kept, rep)
 	rep.TicketsKept += len(kept)
@@ -73,6 +70,65 @@ func ScrubTickets(ts []ticket.Ticket, b TicketBounds, rep *Report, repair bool) 
 		return ts
 	}
 	return kept
+}
+
+// ticketSet is a flat open-addressing set of ticket indices, the dedup
+// table of ScrubTickets. Each slot holds 1 + the index of the first
+// ticket seen with some content (0 is an empty slot); linear probing at
+// a load factor of at most 1/2.
+type ticketSet struct {
+	slots []int32
+	mask  uint64
+}
+
+func newTicketSet(n int) ticketSet {
+	size := 2
+	for size < 2*n {
+		size <<= 1
+	}
+	return ticketSet{slots: make([]int32, size), mask: uint64(size - 1)}
+}
+
+// add inserts ts[i] and reports true, unless a ticket with the same
+// content is already in the set.
+func (s ticketSet) add(ts []ticket.Ticket, i int) bool {
+	t := &ts[i]
+	for p := contentHash(t) & s.mask; ; p = (p + 1) & s.mask {
+		j := s.slots[p]
+		if j == 0 {
+			s.slots[p] = int32(i + 1)
+			return true
+		}
+		if sameContent(&ts[j-1], t) {
+			return false
+		}
+	}
+}
+
+// sameContent reports whether two tickets agree in every field but the
+// ID, under == (so -0 equals +0, as it did for map keys).
+func sameContent(a, b *ticket.Ticket) bool {
+	x, y := *a, *b
+	x.ID, y.ID = 0, 0
+	return x == y
+}
+
+// contentHash mixes the fields that tell most tickets apart. Tickets
+// differing only in the others collide and are told apart by
+// sameContent. Equal content must hash equal, so both zeros of Hour
+// hash alike.
+func contentHash(t *ticket.Ticket) uint64 {
+	h := math.Float64bits(t.Hour)
+	if t.Hour == 0 {
+		h = 0
+	}
+	h ^= uint64(t.Day)*0x9e3779b97f4a7c15 ^ uint64(t.Rack)<<40 ^ uint64(t.Device)<<20 ^ uint64(t.Fault)
+	// splitmix64's finalizer.
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	return h ^ h>>31
 }
 
 // classOfTicketErr maps a per-ticket sentinel back to its class.

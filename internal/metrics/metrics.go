@@ -120,8 +120,10 @@ func (d *WindowDist) Mean() float64 {
 
 // MuDistributions computes per-rack μ distributions counting only the
 // given component classes. Windows before a rack's commission day are
-// excluded.
-func MuDistributions(res *simulate.Result, comps []failure.Component, g Granularity) ([]WindowDist, error) {
+// excluded. With no racks named it covers the whole fleet in rack
+// order; otherwise out[i] is the distribution of racks[i], and only
+// those racks' events and windows are scanned.
+func MuDistributions(res *simulate.Result, comps []failure.Component, g Granularity, racks ...*topology.Rack) ([]WindowDist, error) {
 	if len(comps) == 0 {
 		return nil, errors.New("metrics: no components selected")
 	}
@@ -133,6 +135,19 @@ func MuDistributions(res *simulate.Result, comps []failure.Component, g Granular
 		include[c] = true
 	}
 	nRacks := len(res.Fleet.Racks)
+	if len(racks) == 0 {
+		racks = make([]*topology.Rack, nRacks)
+		for i := range racks {
+			racks[i] = &res.Fleet.Racks[i]
+		}
+	}
+	wanted := make([]bool, nRacks)
+	for _, r := range racks {
+		if r.ID < 0 || r.ID >= nRacks {
+			return nil, fmt.Errorf("metrics: rack %d out of range [0,%d)", r.ID, nRacks)
+		}
+		wanted[r.ID] = true
+	}
 	winHours := g.hours()
 	// A trailing partial window still needs spares, so round up rather
 	// than truncate (also preserves μ-max monotonicity across
@@ -143,20 +158,20 @@ func MuDistributions(res *simulate.Result, comps []failure.Component, g Granular
 	// once.
 	perRack := make([][]simulate.Event, nRacks)
 	for _, ev := range res.Events {
-		if !include[ev.Component] {
+		if !include[ev.Component] || !wanted[ev.Rack] {
 			continue
 		}
 		perRack[ev.Rack] = append(perRack[ev.Rack], ev)
 	}
 
-	out := make([]WindowDist, nRacks)
+	out := make([]WindowDist, len(racks))
 	window := make([]int32, totalWindows)
-	for ri := range out {
-		for i := range window {
-			window[i] = 0
+	for i, rack := range racks {
+		for w := range window {
+			window[w] = 0
 		}
 		maxC := int32(0)
-		for _, ev := range perRack[ri] {
+		for _, ev := range perRack[rack.ID] {
 			start := float64(ev.Day)*24 + ev.Hour
 			end := start + ev.RepairHours
 			w0 := int(start / winHours)
@@ -177,7 +192,7 @@ func MuDistributions(res *simulate.Result, comps []failure.Component, g Granular
 			}
 		}
 		// First observable window: commission day onward.
-		firstDay := res.Fleet.Racks[ri].CommissionDay
+		firstDay := rack.CommissionDay
 		if firstDay < 0 {
 			firstDay = 0
 		}
@@ -189,7 +204,7 @@ func MuDistributions(res *simulate.Result, comps []failure.Component, g Granular
 		for w := w0; w < totalWindows; w++ {
 			d.Counts[window[w]]++
 		}
-		out[ri] = d
+		out[i] = d
 	}
 	return out, nil
 }
@@ -321,20 +336,38 @@ func RackDayFrame(res *simulate.Result) (*frame.Frame, error) {
 		}
 	}
 
+	// Calendar codes depend on the day alone: one table for the window.
+	yearLevels := []string{"Y0", "Y1", "Y2"}
+	if y := calendar.YearIndex(days - 1); y >= len(yearLevels) {
+		return nil, fmt.Errorf("metrics: day %d falls in year index %d, past the %d-year window", days-1, y, len(yearLevels))
+	}
+	type calDay struct{ dow, week, month, year uint8 }
+	cal := make([]calDay, days)
+	for d := range cal {
+		cal[d] = calDay{
+			dow:   uint8(calendar.Weekday(d)),
+			week:  uint8(calendar.WeekOfYear(d)),
+			month: uint8(calendar.Month(d)),
+			year:  uint8(calendar.YearIndex(d)),
+		}
+	}
+
+	// Categorical columns are built as uint8 codes, in range by
+	// construction, and adopted by the frame as-is.
 	var (
 		temp     = make([]float64, 0, rows)
 		rh       = make([]float64, 0, rows)
 		age      = make([]float64, 0, rows)
 		power    = make([]float64, 0, rows)
-		dc       = make([]int, 0, rows)
-		region   = make([]int, 0, rows)
-		sku      = make([]int, 0, rows)
-		workload = make([]int, 0, rows)
-		dow      = make([]int, 0, rows)
-		week     = make([]int, 0, rows)
-		month    = make([]int, 0, rows)
-		year     = make([]int, 0, rows)
-		cyear    = make([]int, 0, rows)
+		dc       = make([]uint8, 0, rows)
+		region   = make([]uint8, 0, rows)
+		sku      = make([]uint8, 0, rows)
+		workload = make([]uint8, 0, rows)
+		dow      = make([]uint8, 0, rows)
+		week     = make([]uint8, 0, rows)
+		month    = make([]uint8, 0, rows)
+		year     = make([]uint8, 0, rows)
+		cyear    = make([]uint8, 0, rows)
 		dayIdx   = make([]float64, 0, rows)
 		rackID   = make([]float64, 0, rows)
 		fAll     = make([]float64, 0, rows)
@@ -349,25 +382,29 @@ func RackDayFrame(res *simulate.Result) (*frame.Frame, error) {
 		if from < 0 {
 			from = 0
 		}
+		rackDC, rackRegion := uint8(rack.DC), uint8(regionIndex[rack.DC][rack.Region])
+		rackSKU, rackWL := uint8(rack.SKU), uint8(rack.Workload)
+		rackCY := uint8(commissionYearIndex(rack.CommissionDay))
 		for d := from; d < days; d++ {
 			cond, err := res.Climate.At(ri, d)
 			if err != nil {
 				return nil, err
 			}
 			c := counts[ri*days+d]
+			cd := cal[d]
 			temp = append(temp, cond.TempF)
 			rh = append(rh, cond.RH)
 			age = append(age, rack.AgeMonths(d))
 			power = append(power, rack.PowerKW)
-			dc = append(dc, rack.DC)
-			region = append(region, regionIndex[rack.DC][rack.Region])
-			sku = append(sku, int(rack.SKU))
-			workload = append(workload, int(rack.Workload))
-			dow = append(dow, calendar.Weekday(d))
-			week = append(week, calendar.WeekOfYear(d))
-			month = append(month, calendar.Month(d))
-			year = append(year, calendar.YearIndex(d))
-			cyear = append(cyear, commissionYearIndex(rack.CommissionDay))
+			dc = append(dc, rackDC)
+			region = append(region, rackRegion)
+			sku = append(sku, rackSKU)
+			workload = append(workload, rackWL)
+			dow = append(dow, cd.dow)
+			week = append(week, cd.week)
+			month = append(month, cd.month)
+			year = append(year, cd.year)
+			cyear = append(cyear, rackCY)
 			dayIdx = append(dayIdx, float64(d))
 			rackID = append(rackID, float64(ri))
 			fAll = append(fAll, float64(c.disk+c.mem+c.srv))
@@ -378,22 +415,20 @@ func RackDayFrame(res *simulate.Result) (*frame.Frame, error) {
 	}
 
 	f := frame.New(len(temp))
-	dcLevels := []string{"DC1", "DC2"}
-	yearLevels := []string{"Y0", "Y1", "Y2"}
 	steps := []func() error{
 		func() error { return f.AddContinuous("temp", temp) },
 		func() error { return f.AddContinuous("rh", rh) },
 		func() error { return f.AddContinuous("age_months", age) },
 		func() error { return f.AddContinuous("power_kw", power) },
-		func() error { return f.AddNominalInts("dc", dc, dcLevels) },
-		func() error { return f.AddNominalInts("region", region, regionLevels) },
-		func() error { return f.AddNominalInts("sku", sku, topology.SKUNames()) },
-		func() error { return f.AddNominalInts("workload", workload, topology.WorkloadNames()) },
-		func() error { return f.AddOrdinalInts("dow", dow, calendar.WeekdayNames) },
-		func() error { return f.AddOrdinalInts("week", week, calendar.WeekNames()) },
-		func() error { return f.AddOrdinalInts("month", month, calendar.MonthNames) },
-		func() error { return f.AddOrdinalInts("year", year, yearLevels) },
-		func() error { return f.AddNominalInts("commission_year", cyear, commissionYearLevels()) },
+		func() error { return f.AddNominalCodes("dc", dc, dcLevels) },
+		func() error { return f.AddNominalCodes("region", region, regionLevels) },
+		func() error { return f.AddNominalCodes("sku", sku, topology.SKUNames()) },
+		func() error { return f.AddNominalCodes("workload", workload, topology.WorkloadNames()) },
+		func() error { return f.AddOrdinalCodes("dow", dow, calendar.WeekdayNames) },
+		func() error { return f.AddOrdinalCodes("week", week, calendar.WeekNames()) },
+		func() error { return f.AddOrdinalCodes("month", month, calendar.MonthNames) },
+		func() error { return f.AddOrdinalCodes("year", year, yearLevels) },
+		func() error { return f.AddNominalCodes("commission_year", cyear, commissionYearLevels()) },
 		func() error { return f.AddContinuous("day", dayIdx) },
 		func() error { return f.AddContinuous("rack_id", rackID) },
 		func() error { return f.AddContinuous("failures", fAll) },
@@ -408,6 +443,9 @@ func RackDayFrame(res *simulate.Result) (*frame.Frame, error) {
 	}
 	return f, nil
 }
+
+// dcLevels names the two datacenters' level codes.
+var dcLevels = []string{"DC1", "DC2"}
 
 // commissionYearIndex buckets a commission day (offset from window
 // start, possibly up to 5 years negative) into a year index 0..5,
@@ -468,7 +506,7 @@ func RackFeatureFrame(fleet *topology.Fleet, obsDays int) (*frame.Frame, error) 
 	}
 	f := frame.New(n)
 	steps := []func() error{
-		func() error { return f.AddNominalInts("dc", dc, []string{"DC1", "DC2"}) },
+		func() error { return f.AddNominalInts("dc", dc, dcLevels) },
 		func() error { return f.AddNominalInts("region", region, regionLevels) },
 		func() error { return f.AddNominalInts("sku", sku, topology.SKUNames()) },
 		func() error { return f.AddNominalInts("workload", workload, topology.WorkloadNames()) },

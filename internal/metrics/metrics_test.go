@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"reflect"
 	"testing"
 
 	"rainshine/internal/failure"
@@ -325,5 +326,47 @@ func TestCommissionYearIndexBounds(t *testing.T) {
 		if got := commissionYearIndex(c.day); got != c.want {
 			t.Errorf("commissionYearIndex(%d) = %d, want %d", c.day, got, c.want)
 		}
+	}
+}
+
+// TestMuDistributionsRestricted: naming racks scans only their events
+// and windows, and must give each rack exactly its full-fleet
+// distribution, for every workload's racks at daily and hourly
+// granularity and for each component selection provisioning uses.
+func TestMuDistributionsRestricted(t *testing.T) {
+	res := smallResult(t)
+	for _, comps := range [][]failure.Component{
+		{failure.Disk, failure.DIMM, failure.ServerOther},
+		{failure.Disk}, {failure.DIMM}, {failure.ServerOther},
+	} {
+		for _, g := range []Granularity{Daily, Hourly} {
+			full, err := MuDistributions(res, comps, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for wl := topology.Workload(0); wl < topology.NumWorkloads; wl++ {
+				racks := res.Fleet.RacksOf(wl)
+				if len(racks) == 0 {
+					continue
+				}
+				sub, err := MuDistributions(res, comps, g, racks...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(sub) != len(racks) {
+					t.Fatalf("%v %v %v: %d dists for %d racks", comps, g, wl, len(sub), len(racks))
+				}
+				for i, r := range racks {
+					got, want := sub[i], full[r.ID]
+					if got.Windows != want.Windows || got.Max() != want.Max() || !reflect.DeepEqual(got.Counts, want.Counts) {
+						t.Fatalf("%v %v %v rack %d: restricted %+v, full %+v", comps, g, wl, r.ID, got, want)
+					}
+				}
+			}
+		}
+	}
+	// A rack outside the fleet is an error, not a panic.
+	if _, err := MuDistributions(res, []failure.Component{failure.Disk}, Daily, &topology.Rack{ID: len(res.Fleet.Racks)}); err == nil {
+		t.Error("out-of-fleet rack should error")
 	}
 }

@@ -167,13 +167,9 @@ func AnalyzeServerLevelWith(res *simulate.Result, wl topology.Workload, g metric
 	if len(racks) == 0 {
 		return nil, fmt.Errorf("provision: no racks host workload %v", wl)
 	}
-	dists, err := metrics.MuDistributions(res, AllComponents, g)
+	needs, err := resourceNeeds(res, racks, AllComponents, func(r *topology.Rack) int { return r.Servers }, g)
 	if err != nil {
 		return nil, err
-	}
-	needs := make([]rackNeed, len(racks))
-	for i, r := range racks {
-		needs[i] = rackNeed{rack: r, units: r.Servers, muMax: dists[r.ID].Max()}
 	}
 	out := &ServerLevel{
 		Workload:    wl,
@@ -388,15 +384,16 @@ func AnalyzeComponentLevel(res *simulate.Result, wl topology.Workload, g metrics
 	return out, nil
 }
 
-// resourceNeeds computes per-rack needs for one resource class.
+// resourceNeeds computes per-rack needs for one resource class, taking
+// μ for the given racks only.
 func resourceNeeds(res *simulate.Result, racks []*topology.Rack, comps []failure.Component, units func(*topology.Rack) int, g metrics.Granularity) ([]rackNeed, error) {
-	dists, err := metrics.MuDistributions(res, comps, g)
+	dists, err := metrics.MuDistributions(res, comps, g, racks...)
 	if err != nil {
 		return nil, err
 	}
 	needs := make([]rackNeed, len(racks))
 	for i, r := range racks {
-		needs[i] = rackNeed{rack: r, units: units(r), muMax: dists[r.ID].Max()}
+		needs[i] = rackNeed{rack: r, units: units(r), muMax: dists[i].Max()}
 	}
 	return needs, nil
 }

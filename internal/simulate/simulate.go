@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 
+	"rainshine/internal/calendar"
 	"rainshine/internal/climate"
 	"rainshine/internal/dist"
 	"rainshine/internal/failure"
@@ -261,8 +262,13 @@ func simulateRack(res *Result, rack *topology.Rack, src *rng.Source) ([]Event, e
 		if err != nil {
 			return nil, err
 		}
+		// The factors shared by every component are computed once per
+		// rack-day. RackHazard keeps the product order
+		// float64(n) * (base * common * env), so λ has the same bits as
+		// when each component recomputed common.
+		common := hz.CommonMultiplier(rack, day)
 		for c := failure.Disk; c < failure.NumComponents; c++ {
-			lambda := hz.RackHazard(c, rack, day, cond)
+			lambda := hz.RackHazard(c, rack, common, cond)
 			n := dist.Poisson{Lambda: lambda}.SampleInt(src)
 			for k := 0; k < n; k++ {
 				emit(Event{
@@ -389,7 +395,30 @@ func synthesizeTickets(res *Result, src *rng.Source) error {
 		subFault[dc] = c
 	}
 
+	// Every ticket count is known before the first one is drawn: one
+	// hardware ticket per event, Table II's non-hardware load per DC
+	// (software, boot, others) in proportion to the DC's hardware
+	// tickets, then the false-positive fraction of all of them.
 	hwCount := make([]int, len(fleet.DCs))
+	for _, ev := range res.Events {
+		hwCount[fleet.Racks[ev.Rack].DC]++
+	}
+	nonHW := make([][3]int, len(fleet.DCs))
+	total := len(res.Events)
+	if !res.Cfg.SkipNonHardware {
+		for dc := range nonHW {
+			swR, bootR, otherR := nonHardwareRatios(dc)
+			n := float64(hwCount[dc])
+			nonHW[dc] = [3]int{int(n * swR), int(n * bootR), int(n * otherR)}
+			total += nonHW[dc][0] + nonHW[dc][1] + nonHW[dc][2]
+		}
+	}
+	fp := 0
+	if res.Cfg.FalsePositiveRate > 0 {
+		fp = int(float64(total) * res.Cfg.FalsePositiveRate)
+	}
+	res.Tickets = make([]ticket.Ticket, 0, total+fp)
+
 	type deviceKey struct {
 		rack   int32
 		comp   failure.Component
@@ -423,7 +452,6 @@ func synthesizeTickets(res *Result, src *rng.Source) error {
 		})
 		k := deviceKey{ev.Rack, ev.Component, ev.Device}
 		byDevice[k] = append(byDevice[k], idx)
-		hwCount[rack.DC]++
 	}
 	// Assign repeat counts in time order per device (the RMA re-open
 	// counter of Section IV).
@@ -442,7 +470,6 @@ func synthesizeTickets(res *Result, src *rng.Source) error {
 
 	if !res.Cfg.SkipNonHardware {
 		for dc := range fleet.DCs {
-			swR, bootR, otherR := nonHardwareRatios(dc)
 			sw, err := dist.NewCategorical(softwareSplit(dc))
 			if err != nil {
 				return err
@@ -451,7 +478,6 @@ func synthesizeTickets(res *Result, src *rng.Source) error {
 			if err != nil {
 				return err
 			}
-			n := float64(hwCount[dc])
 			addNonHW := func(count int, pick func() ticket.Fault) {
 				for i := 0; i < count; i++ {
 					ri := racksByDC[dc][src.IntN(len(racksByDC[dc]))]
@@ -465,33 +491,30 @@ func synthesizeTickets(res *Result, src *rng.Source) error {
 					})
 				}
 			}
-			addNonHW(int(n*swR), func() ticket.Fault {
+			addNonHW(nonHW[dc][0], func() ticket.Fault {
 				return []ticket.Fault{ticket.Timeout, ticket.Deployment, ticket.Crash}[sw.Sample(src)]
 			})
-			addNonHW(int(n*bootR), func() ticket.Fault {
+			addNonHW(nonHW[dc][1], func() ticket.Fault {
 				return []ticket.Fault{ticket.PXEBoot, ticket.RebootFailure}[bt.Sample(src)]
 			})
-			addNonHW(int(n*otherR), func() ticket.Fault { return ticket.OtherFault })
+			addNonHW(nonHW[dc][2], func() ticket.Fault { return ticket.OtherFault })
 		}
 	}
 
 	// False positives: phantom tickets the operators closed as
 	// no-fault-found. They receive a random fault type and are marked.
-	if res.Cfg.FalsePositiveRate > 0 {
-		fp := int(float64(len(res.Tickets)) * res.Cfg.FalsePositiveRate)
-		for i := 0; i < fp; i++ {
-			dc := src.IntN(len(fleet.DCs))
-			ri := racksByDC[dc][src.IntN(len(racksByDC[dc]))]
-			res.Tickets = append(res.Tickets, ticket.Ticket{
-				ID:            len(res.Tickets),
-				Day:           src.IntN(res.Days),
-				Hour:          src.Float64() * 24,
-				DC:            dc,
-				Rack:          ri,
-				Fault:         ticket.Fault(src.IntN(int(ticket.NumFaults))),
-				FalsePositive: true,
-			})
-		}
+	for i := 0; i < fp; i++ {
+		dc := src.IntN(len(fleet.DCs))
+		ri := racksByDC[dc][src.IntN(len(racksByDC[dc]))]
+		res.Tickets = append(res.Tickets, ticket.Ticket{
+			ID:            len(res.Tickets),
+			Day:           src.IntN(res.Days),
+			Hour:          src.Float64() * 24,
+			DC:            dc,
+			Rack:          ri,
+			Fault:         ticket.Fault(src.IntN(int(ticket.NumFaults))),
+			FalsePositive: true,
+		})
 	}
 	return nil
 }
@@ -502,15 +525,8 @@ func weekdayTiltedDay(src *rng.Source, days int) int {
 	for {
 		d := src.IntN(days)
 		// Weekdays accepted always; weekends at ~76% (0.95/1.25).
-		if !isWeekendFast(d) || src.Float64() < 0.76 {
+		if !calendar.IsWeekend(d) || src.Float64() < 0.76 {
 			return d
 		}
 	}
-}
-
-// isWeekendFast avoids time.Time allocation in the hot ticket loop.
-// Day 0 (1 Jan 2012) was a Sunday.
-func isWeekendFast(day int) bool {
-	w := day % 7
-	return w == 0 || w == 6
 }

@@ -217,16 +217,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestIsWeekendFastMatchesCalendar(t *testing.T) {
-	// Day 0 is Sunday; verify the fast path across four weeks.
-	for d := 0; d < 28; d++ {
-		want := d%7 == 0 || d%7 == 6
-		if isWeekendFast(d) != want {
-			t.Fatalf("isWeekendFast(%d) mismatch", d)
-		}
-	}
-}
-
 func TestWorkerCountInvariance(t *testing.T) {
 	base := smallCfg()
 	var want *Result
