@@ -151,6 +151,7 @@ fuzz:
 	$(GO) test -fuzz FuzzIngestTickets -fuzztime 30s ./internal/ingest/
 	$(GO) test -fuzz FuzzScrubTicketsMatchesMap -fuzztime 30s ./internal/ingest/
 	$(GO) test -fuzz FuzzQuantile -fuzztime 30s ./internal/stats/
+	$(GO) test -fuzz FuzzGroupMomentsMatchesSummarize -fuzztime 30s ./internal/stats/
 	$(GO) test -fuzz FuzzChiSquareCDF -fuzztime 30s ./internal/stats/
 	$(GO) test -fuzz FuzzComputeMatchesBruteForce -fuzztime 30s ./internal/pdp/
 

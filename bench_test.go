@@ -371,8 +371,8 @@ func BenchmarkTicketAudit(b *testing.B) {
 }
 
 // BenchmarkClimateGuidance measures the full Q3 pipeline on a fresh
-// fork of the shared study: MF fit, baseline fit, residual environment tree, hot-regime RH
-// scan, PDP grids, and per-DC group rates.
+// fork of the shared study: MF fit, baseline fit, residual environment
+// tree, hot-regime RH scan, and per-DC group rates.
 func BenchmarkClimateGuidance(b *testing.B) {
 	benchData(b)
 	b.ResetTimer()
@@ -405,8 +405,8 @@ func BenchmarkAblationClusterBudget(b *testing.B) {
 
 // BenchmarkPDP measures the partial dependence of the Q3 multi-factor
 // tree's disk-failure response on temperature over the shared study's
-// rack-day frame, the probe envan's Fig 18 curves make: grid pick, one
-// tree descent per row, and the per-grid-point row sums.
+// rack-day frame: grid pick, one tree descent per row, and the
+// per-grid-point row sums.
 func BenchmarkPDP(b *testing.B) {
 	f, err := benchData(b).Figures().RackDays()
 	benchErr(b, err)

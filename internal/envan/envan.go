@@ -19,7 +19,6 @@ import (
 	"rainshine/internal/cart"
 	"rainshine/internal/frame"
 	"rainshine/internal/parallel"
-	"rainshine/internal/pdp"
 	"rainshine/internal/stats"
 )
 
@@ -30,9 +29,9 @@ var TempEdges = []float64{0, 60, 65, 70, 75, 200}
 // TempBinLabels label the bins for display.
 var TempBinLabels = []string{"<60", "60-65", "65-70", "70-75", ">75"}
 
-// BinnedRates returns, per temperature bin, the Summary of the value
+// BinnedRates returns, per temperature bin, the Moments of the value
 // column over rack-days (mean = the bar, sd = the error bar).
-func BinnedRates(f *frame.Frame, value string) ([]stats.Summary, error) {
+func BinnedRates(f *frame.Frame, value string) ([]stats.Moments, error) {
 	tc, err := f.Col("temp")
 	if err != nil {
 		return nil, err
@@ -41,7 +40,7 @@ func BinnedRates(f *frame.Frame, value string) ([]stats.Summary, error) {
 	if err != nil {
 		return nil, err
 	}
-	return stats.GroupedSummary(tc.Data, vc.Data, TempEdges)
+	return stats.BinnedMoments(tc.Data, vc.Data, TempEdges)
 }
 
 // MFFeatures are the candidate factors for the environmental tree.
@@ -63,13 +62,13 @@ type Thresholds struct {
 }
 
 // GroupRates is one DC's failure rates across the Fig 18 regimes, each
-// a Summary of rack-day disk failure counts.
+// the Moments of rack-day disk failure counts.
 type GroupRates struct {
 	DC     string
-	Cool   stats.Summary // temp <= threshold
-	Hot    stats.Summary // temp >= threshold
-	HotDry stats.Summary // temp >= threshold AND rh <= RH threshold
-	All    stats.Summary
+	Cool   stats.Moments // temp <= threshold
+	Hot    stats.Moments // temp > threshold
+	HotDry stats.Moments // temp > threshold AND rh <= RH threshold
+	All    stats.Moments
 }
 
 // Result is the full Q3 MF analysis.
@@ -82,10 +81,6 @@ type Result struct {
 	EnvTree    *cart.Tree
 	Thresholds Thresholds
 	Groups     []GroupRates // one per DC
-	// PDP holds partial-dependence curves of the residual failure rate
-	// over the environmental axes ("temp", "rh"): the marginalized view
-	// of the same effects the thresholds binarize.
-	PDP map[string][]pdp.Point
 	// DroppedFeatures lists candidate factors the frame did not carry
 	// (dirty external tables): the analysis degraded to the rest.
 	DroppedFeatures []string
@@ -116,10 +111,10 @@ func Analyze(f *frame.Frame, cfg cart.Config) (*Result, error) {
 	return AnalyzeContext(context.Background(), f, cfg)
 }
 
-// AnalyzeContext is Analyze under a context: the stage-1 fits, the PDP
-// grids, the hot-regime humidity scan, and the per-DC regime summaries
-// all fan across cfg.Workers goroutines (0 means GOMAXPROCS, 1 forces
-// the serial path), with results identical for every worker count.
+// AnalyzeContext is Analyze under a context: the stage-1 fits and the
+// hot-regime humidity scan fan across cfg.Workers goroutines (0 means
+// GOMAXPROCS, 1 forces the serial path), with results identical for
+// every worker count.
 func AnalyzeContext(ctx context.Context, f *frame.Frame, cfg cart.Config) (*Result, error) {
 	if cfg.MaxDepth == 0 {
 		// Deep, permissive growth: the environmental effects live
@@ -236,24 +231,8 @@ func AnalyzeContext(ctx context.Context, f *frame.Frame, cfg cart.Config) (*Resu
 		}
 	}
 
-	// Marginalized view of the same effects: partial-dependence curves of
-	// the residual rate over each environmental axis, one worker each
-	// (and each curve's grid fans out in turn).
-	pdpFeats := []string{"temp", "rh"}
-	grids, err := parallel.Map(ctx, cfg.Workers, len(pdpFeats), func(i int) ([]pdp.Point, error) {
-		return pdp.ComputeContext(ctx, envTree, envFrame, pdpFeats[i], 20, cfg.Workers)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("envan: pdp: %w", err)
-	}
-	pdpCurves := make(map[string][]pdp.Point, len(pdpFeats))
-	for i, name := range pdpFeats {
-		pdpCurves[name] = grids[i]
-	}
-
 	res := &Result{
 		Tree: tree, EnvTree: envTree, Thresholds: th,
-		PDP:             pdpCurves,
 		DroppedFeatures: mergeUnique(droppedMF, droppedBase),
 		RowsUsed:        f.NumRows(),
 		RowsDropped:     allRows - f.NumRows(),
@@ -283,43 +262,45 @@ func AnalyzeContext(ctx context.Context, f *frame.Frame, cfg cart.Config) (*Resu
 	if math.IsNaN(rThr) {
 		rThr = 25
 	}
-	// Each DC's regime summary scans the frame independently; fan them
-	// out and collect in level order.
-	res.Groups, err = parallel.Map(ctx, cfg.Workers, len(dcCol.Levels), func(dcIdx int) (GroupRates, error) {
-		var cool, hot, hotDry, all []float64
-		for r := 0; r < f.NumRows(); r++ {
-			if dcCol.Code(r) != dcIdx {
-				continue
-			}
-			v := diskCol.Data[r]
-			all = append(all, v)
-			temp := tempCol.Data[r]
-			if math.IsNaN(temp) || math.IsInf(temp, 0) {
-				continue // unreadable sensor: no regime attribution
-			}
-			if temp <= tThr {
-				cool = append(cool, v)
-			} else {
-				hot = append(hot, v)
-				if rh := rhCol.Data[r]; rh <= rThr {
-					// NaN rh fails the comparison and stays out of the
-					// dry regime, which is the conservative reading.
-					hotDry = append(hotDry, v)
-				}
-			}
-		}
-		g := GroupRates{DC: dcCol.Levels[dcIdx]}
-		g.Cool = summarizeOrZero(cool)
-		g.Hot = summarizeOrZero(hot)
-		g.HotDry = summarizeOrZero(hotDry)
-		g.All = summarizeOrZero(all)
-		return g, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(res.Groups) == 0 {
+	// One pass attributes each row to its DC's groups: All, one of
+	// Cool/Hot (by regime key 2*dc+hot), and HotDry. A dc code outside
+	// the level table (a blank cell in an external table) puts the row
+	// in no group.
+	nDC := len(dcCol.Levels)
+	if nDC == 0 {
 		return nil, errors.New("envan: no DC groups in frame")
+	}
+	dcKey := make([]int32, f.NumRows())
+	regimeKey := make([]int32, f.NumRows())
+	dryKey := make([]int32, f.NumRows())
+	for r := range dcKey {
+		dcKey[r], regimeKey[r], dryKey[r] = -1, -1, -1
+		dc := dcCol.Code(r)
+		if dc < 0 || dc >= nDC {
+			continue
+		}
+		dcKey[r] = int32(dc)
+		temp := tempCol.Data[r]
+		if math.IsNaN(temp) || math.IsInf(temp, 0) {
+			continue // unreadable sensor: no regime attribution
+		}
+		if temp <= tThr {
+			regimeKey[r] = int32(2 * dc)
+			continue
+		}
+		regimeKey[r] = int32(2*dc + 1)
+		if rhCol.Data[r] <= rThr {
+			// NaN rh fails the comparison and stays out of the dry
+			// regime, which is the conservative reading.
+			dryKey[r] = int32(dc)
+		}
+	}
+	all := stats.GroupMoments(dcKey, diskCol.Data, nDC)
+	regime := stats.GroupMoments(regimeKey, diskCol.Data, 2*nDC)
+	dry := stats.GroupMoments(dryKey, diskCol.Data, nDC)
+	res.Groups = make([]GroupRates, nDC)
+	for dc, lvl := range dcCol.Levels {
+		res.Groups[dc] = GroupRates{DC: lvl, Cool: regime[2*dc], Hot: regime[2*dc+1], HotDry: dry[dc], All: all[dc]}
 	}
 	return res, nil
 }
@@ -360,33 +341,36 @@ func hotRegimeRHSplit(ctx context.Context, envFrame *frame.Frame, tempThr float6
 	if err != nil {
 		return 0, false
 	}
-	// Finite-rh rows only: a NaN humidity cell cannot place a row on
-	// either side of a candidate threshold.
-	hot := envFrame.Filter(func(r int) bool {
-		return tempCol.Data[r] > tempThr && isFiniteVal(rhAll.Data[r])
-	})
-	if hot.NumRows() < 200 {
-		return 0, false
-	}
-	rhCol, err := hot.Col("rh")
+	residCol, err := envFrame.Col("resid")
 	if err != nil {
 		return 0, false
 	}
-	residCol, err := hot.Col("resid")
-	if err != nil {
+	// The hot rows with a finite rh, gathered in row order: a NaN
+	// humidity cell cannot place a row on either side of a candidate
+	// threshold. total is summed in row order, not sorted order: the
+	// serial code did, and float addition is order-sensitive at the ulp
+	// level.
+	type obs struct{ rh, resid float64 }
+	var hot []obs
+	total := 0.0
+	for r, t := range tempCol.Data {
+		if rh := rhAll.Data[r]; t > tempThr && isFiniteVal(rh) {
+			hot = append(hot, obs{rh, residCol.Data[r]})
+			total += residCol.Data[r]
+		}
+	}
+	n := len(hot)
+	if n < 200 {
 		return 0, false
 	}
-	rh, resid := rhCol.Data, residCol.Data
-	n := len(rh)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	slices.SortFunc(idx, func(a, b int) int {
+	// pdqsort moves elements by comparison outcomes alone, so sorting
+	// the (rh, resid) pairs leaves ties in the same order as sorting row
+	// indices by rh did.
+	slices.SortFunc(hot, func(a, b obs) int {
 		switch {
-		case rh[a] < rh[b]:
+		case a.rh < b.rh:
 			return -1
-		case rh[a] > rh[b]:
+		case a.rh > b.rh:
 			return 1
 		}
 		return 0
@@ -396,13 +380,7 @@ func hotRegimeRHSplit(ctx context.Context, envFrame *frame.Frame, tempThr float6
 	// evaluate to identical floats regardless of which chunk runs them.
 	prefix := make([]float64, n+1)
 	for k := 0; k < n; k++ {
-		prefix[k+1] = prefix[k] + resid[idx[k]]
-	}
-	// Summed in frame order, not sorted order: the serial code did, and
-	// float addition is order-sensitive at the ulp level.
-	total := 0.0
-	for _, v := range resid {
-		total += v
+		prefix[k+1] = prefix[k] + hot[k].resid
 	}
 	minLeaf := n / 20
 	if minLeaf < 100 {
@@ -416,7 +394,7 @@ func hotRegimeRHSplit(ctx context.Context, envFrame *frame.Frame, tempThr float6
 	bests, err := parallel.Map(ctx, workers, len(chunks), func(ci int) (chunkBest, error) {
 		var best chunkBest
 		for k := chunks[ci][0]; k < chunks[ci][1]; k++ {
-			if rh[idx[k]] == rh[idx[k+1]] {
+			if hot[k].rh == hot[k+1].rh {
 				continue
 			}
 			nd := k + 1
@@ -435,7 +413,7 @@ func hotRegimeRHSplit(ctx context.Context, envFrame *frame.Frame, tempThr float6
 			d := meanDry - meanHumid
 			gain := float64(nd) * float64(nh) / float64(n) * d * d
 			if gain > best.gain {
-				best = chunkBest{gain: gain, thr: (rh[idx[k]] + rh[idx[k+1]]) / 2, found: true}
+				best = chunkBest{gain: gain, thr: (hot[k].rh + hot[k+1].rh) / 2, found: true}
 			}
 		}
 		return best, nil
@@ -482,14 +460,6 @@ func mergeUnique(lists ...[]string) []string {
 		}
 	}
 	return out
-}
-
-func summarizeOrZero(xs []float64) stats.Summary {
-	s, err := stats.Summarize(xs)
-	if err != nil {
-		return stats.Summary{}
-	}
-	return s
 }
 
 // bestThreshold walks the tree and returns the threshold of the

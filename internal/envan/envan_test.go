@@ -3,6 +3,7 @@ package envan
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"rainshine/internal/cart"
@@ -268,6 +269,102 @@ func TestAnalyzeCustomConfig(t *testing.T) {
 	for _, g := range res.Groups {
 		if g.All.N == 0 {
 			t.Errorf("%s: empty All group", g.DC)
+		}
+	}
+}
+
+// rhSplitByIndexSort is the reference hotRegimeRHSplit: row indices of
+// the finite-rh hot rows sorted by rh, then a serial first-maximum scan.
+func rhSplitByIndexSort(temp, rh, resid []float64, tempThr float64) (float64, bool) {
+	var hot []int
+	for r := range temp {
+		if temp[r] > tempThr && isFiniteVal(rh[r]) {
+			hot = append(hot, r)
+		}
+	}
+	n := len(hot)
+	if n < 200 {
+		return 0, false
+	}
+	total := 0.0
+	for _, r := range hot {
+		total += resid[r]
+	}
+	slices.SortFunc(hot, func(a, b int) int {
+		switch {
+		case rh[a] < rh[b]:
+			return -1
+		case rh[a] > rh[b]:
+			return 1
+		}
+		return 0
+	})
+	minLeaf := max(n/20, 100)
+	bestGain, bestThr, found := 0.0, 0.0, false
+	drySum := 0.0
+	for k := 0; k < n-1; k++ {
+		drySum += resid[hot[k]]
+		if rh[hot[k]] == rh[hot[k+1]] {
+			continue
+		}
+		nd, nh := k+1, n-k-1
+		if nd < minLeaf || nh < minLeaf || 2*nd >= n {
+			continue
+		}
+		meanDry, meanHumid := drySum/float64(nd), (total-drySum)/float64(nh)
+		if meanDry <= meanHumid {
+			continue
+		}
+		d := meanDry - meanHumid
+		if gain := float64(nd) * float64(nh) / float64(n) * d * d; gain > bestGain {
+			bestGain, bestThr, found = gain, (rh[hot[k]]+rh[hot[k+1]])/2, true
+		}
+	}
+	return bestThr, found
+}
+
+// TestHotRegimeRHSplitMatchesIndexSort checks the pair-sorting scan
+// against the index-sorting reference bit for bit, on simulated rh with
+// ties, a few NaN cells and residuals whose sum depends on the order.
+func TestHotRegimeRHSplitMatchesIndexSort(t *testing.T) {
+	src := rackDayFrame(t)
+	tc, err := src.Col("temp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := src.Col("rh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := src.NumRows()
+	rh := append([]float64(nil), rc.Data...)
+	resid := make([]float64, n)
+	for r := range resid {
+		if r%97 == 0 {
+			rh[r] = math.NaN()
+		}
+		// Coarse rh steps make ties; the residual falls with rh and
+		// carries irregular low bits.
+		rh[r] = math.Round(rh[r])
+		resid[r] = 1/(1+rh[r]) + float64(r%13)*1e-3/3
+	}
+	f := frame.New(n)
+	if err := f.AddContinuous("temp", tc.Data); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AddContinuous("rh", rh); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AddContinuous("resid", resid); err != nil {
+		t.Fatal(err)
+	}
+	for _, thr := range []float64{65, 72, 76, 78, 80, 200} {
+		wantThr, wantOK := rhSplitByIndexSort(tc.Data, rh, resid, thr)
+		for _, workers := range []int{1, 2} {
+			got, ok := hotRegimeRHSplit(context.Background(), f, thr, workers)
+			if ok != wantOK || math.Float64bits(got) != math.Float64bits(wantThr) {
+				t.Errorf("temp > %v, workers %d: split %v, %v; want %v, %v", thr, workers, got, ok, wantThr, wantOK)
+			}
 		}
 	}
 }

@@ -50,25 +50,29 @@ func normalizeBars(bars []BarPoint) []BarPoint {
 	return bars
 }
 
-// groupBars summarizes `value` per level of categorical column `key`.
+// bar is the BarPoint of a group's moments, before normalization.
+func bar(label string, m stats.Moments) BarPoint {
+	return BarPoint{Label: label, Mean: m.Mean, StdDev: m.StdDev, N: m.N}
+}
+
+// groupBars summarizes `value` per level of categorical column `key`;
+// rows with a missing key belong to no bar.
 func groupBars(f *frame.Frame, key, value string, keep func(label string) bool) ([]BarPoint, error) {
-	levels, groups, err := f.GroupValues(key, value)
+	levels, keys, err := f.LevelKeys(key)
 	if err != nil {
 		return nil, err
 	}
+	vc, err := f.Col(value)
+	if err != nil {
+		return nil, err
+	}
+	ms := stats.GroupMoments(keys, vc.Data, len(levels))
 	var bars []BarPoint
 	for li, lvl := range levels {
-		if keep != nil && !keep(lvl) {
+		if (keep != nil && !keep(lvl)) || ms[li].N == 0 {
 			continue
 		}
-		if len(groups[li]) == 0 {
-			continue
-		}
-		s, err := stats.Summarize(groups[li])
-		if err != nil {
-			return nil, err
-		}
-		bars = append(bars, BarPoint{Label: lvl, Mean: s.Mean, StdDev: s.StdDev, N: s.N})
+		bars = append(bars, bar(lvl, ms[li]))
 	}
 	return normalizeBars(bars), nil
 }
@@ -83,13 +87,65 @@ func binnedBars(f *frame.Frame, key, value string, edges []float64, labels []str
 	if err != nil {
 		return nil, err
 	}
-	sums, err := stats.GroupedSummary(kc.Data, vc.Data, edges)
+	ms, err := stats.BinnedMoments(kc.Data, vc.Data, edges)
 	if err != nil {
 		return nil, err
 	}
-	bars := make([]BarPoint, len(sums))
-	for i, s := range sums {
-		bars[i] = BarPoint{Label: labels[i], Mean: s.Mean, StdDev: s.StdDev, N: s.N}
+	return labelledBars(labels, ms), nil
+}
+
+// labelledBars pairs per-bin moments with their labels.
+func labelledBars(labels []string, ms []stats.Moments) []BarPoint {
+	bars := make([]BarPoint, len(ms))
+	for i, m := range ms {
+		bars[i] = bar(labels[i], m)
+	}
+	return normalizeBars(bars)
+}
+
+// valueBars summarizes `value` per distinct value of continuous column
+// `key`, in ascending key order. Rows with a non-finite key belong to
+// no bar.
+func valueBars(f *frame.Frame, key, value string) ([]BarPoint, error) {
+	kc, err := f.Col(key)
+	if err != nil {
+		return nil, err
+	}
+	vc, err := f.Col(value)
+	if err != nil {
+		return nil, err
+	}
+	index := map[float64]int32{}
+	var distinct []float64
+	keys := make([]int32, f.NumRows())
+	// Rack-day rows come in runs of one rack, so the previous row's key
+	// usually answers without a map lookup.
+	last, lastG := math.NaN(), int32(-1)
+	for r, k := range kc.Data {
+		if math.IsNaN(k) || math.IsInf(k, 0) {
+			keys[r] = -1
+			continue
+		}
+		if k != last {
+			g, ok := index[k]
+			if !ok {
+				g = int32(len(distinct))
+				index[k] = g
+				distinct = append(distinct, k)
+			}
+			last, lastG = k, g
+		}
+		keys[r] = lastG
+	}
+	ms := stats.GroupMoments(keys, vc.Data, len(distinct))
+	order := make([]int, len(distinct))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return distinct[order[a]] < distinct[order[b]] })
+	bars := make([]BarPoint, len(order))
+	for i, g := range order {
+		bars[i] = bar(fmt.Sprintf("%g", distinct[g]), ms[g])
 	}
 	return normalizeBars(bars), nil
 }
@@ -277,32 +333,7 @@ func (d *Data) fig8() ([]BarPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	var bars []BarPoint
-	pc, err := f.Col("power_kw")
-	if err != nil {
-		return nil, err
-	}
-	vc, err := f.Col("failures")
-	if err != nil {
-		return nil, err
-	}
-	groups := map[float64][]float64{}
-	for r := 0; r < f.NumRows(); r++ {
-		groups[pc.Data[r]] = append(groups[pc.Data[r]], vc.Data[r])
-	}
-	var ratings []float64
-	for p := range groups {
-		ratings = append(ratings, p)
-	}
-	sort.Float64s(ratings)
-	for _, p := range ratings {
-		s, err := stats.Summarize(groups[p])
-		if err != nil {
-			return nil, err
-		}
-		bars = append(bars, BarPoint{Label: fmt.Sprintf("%g", p), Mean: s.Mean, StdDev: s.StdDev, N: s.N})
-	}
-	return normalizeBars(bars), nil
+	return valueBars(f, "power_kw", "failures")
 }
 
 // AgeEdges are Fig 9's equipment-age bins (months).
@@ -511,15 +542,11 @@ func (d *Data) tempBars(value string) ([]BarPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	sums, err := envan.BinnedRates(f, value)
+	ms, err := envan.BinnedRates(f, value)
 	if err != nil {
 		return nil, err
 	}
-	bars := make([]BarPoint, len(sums))
-	for i, s := range sums {
-		bars[i] = BarPoint{Label: envan.TempBinLabels[i], Mean: s.Mean, StdDev: s.StdDev, N: s.N}
-	}
-	return normalizeBars(bars), nil
+	return labelledBars(envan.TempBinLabels, ms), nil
 }
 
 // EnvGroup is one bar of Fig 18: a DC's disk failure rate in one
@@ -569,7 +596,7 @@ func (d *Data) fig18() (*Fig18Result, error) {
 	for _, g := range res.Groups {
 		cells := []struct {
 			name string
-			s    stats.Summary
+			s    stats.Moments
 		}{
 			{"T<=" + tLbl + "F", g.Cool},
 			{"T>" + tLbl + "F", g.Hot},

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"rainshine/internal/frame"
 	"rainshine/internal/simulate"
 	"rainshine/internal/topology"
 )
@@ -260,6 +261,50 @@ func TestFig8PowerEffect(t *testing.T) {
 	if m["13"].Mean <= m["6"].Mean {
 		t.Errorf("high-power racks (%v) should fail more than low-power (%v)", m["13"].Mean, m["6"].Mean)
 	}
+}
+
+// TestBarsSkipMissingKeys feeds the bar helpers key cells a dirty table
+// carries: a row whose key is missing belongs to no bar, where Fig 8's
+// old map keyed by power_kw turned each NaN into its own unreachable
+// group and failed the figure.
+func TestBarsSkipMissingKeys(t *testing.T) {
+	f := frame.New(6)
+	steps := []error{
+		f.AddContinuous("failures", []float64{1, 2, 3, 4, 5, 6}),
+		f.AddContinuous("power_kw", []float64{9, math.NaN(), 6, math.Inf(1), 9, 13}),
+		f.AddContinuous("rh", []float64{10, math.NaN(), 25, 35, 10, 90}),
+		f.AddNominalCodes("sku", []uint8{0, 1, 255, 1, 0, 1}, []string{"S1", "S2"}),
+	}
+	for _, err := range steps {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	type want struct {
+		label string
+		n     int
+		mean  float64
+	}
+	check := func(name string, bars []BarPoint, err error, wants []want) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(bars) != len(wants) {
+			t.Fatalf("%s: %d bars, want %d: %+v", name, len(bars), len(wants), bars)
+		}
+		for i, w := range wants {
+			if b := bars[i]; b.Label != w.label || b.N != w.n || b.Mean != w.mean {
+				t.Errorf("%s bar %d = %+v, want %s n=%d mean=%v", name, i, b, w.label, w.n, w.mean)
+			}
+		}
+	}
+	bars, err := valueBars(f, "power_kw", "failures")
+	check("valueBars", bars, err, []want{{"6", 1, 3}, {"9", 2, 3}, {"13", 1, 6}})
+	bars, err = groupBars(f, "sku", "failures", nil)
+	check("groupBars", bars, err, []want{{"S1", 2, 3}, {"S2", 3, 4}})
+	bars, err = binnedBars(f, "rh", "failures", []float64{0, 20, 30, 101}, []string{"<20", "20-30", ">30"})
+	check("binnedBars", bars, err, []want{{"<20", 2, 3}, {"20-30", 1, 3}, {">30", 2, 5}})
 }
 
 func TestFig9InfantMortality(t *testing.T) {

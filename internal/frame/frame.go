@@ -316,26 +316,63 @@ func (f *Frame) Value(row int, name string) (float64, error) {
 	return c.Float(row), nil
 }
 
-// GroupMeans computes the mean of the value column within each level of
-// a categorical key column. Returned slices are indexed by level.
-// Levels with no rows get NaN means and zero counts.
-func (f *Frame) GroupMeans(key, value string) (levels []string, means []float64, counts []int, err error) {
+// LevelKeys returns the level index of each row of a categorical key
+// column, or -1 where the cell is missing (null-marked or an in-band
+// sentinel) or its code falls outside the level table, so grouping code
+// can index by the key without a range check.
+func (f *Frame) LevelKeys(key string) (levels []string, keys []int32, err error) {
 	kc, err := f.Col(key)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if kc.Kind == Continuous {
-		return nil, nil, nil, fmt.Errorf("frame: GroupMeans key %q must be categorical", key)
+		return nil, nil, fmt.Errorf("frame: grouping key %q must be categorical", key)
+	}
+	keys = make([]int32, f.rows)
+	nl := len(kc.Levels)
+	if codes := kc.Codes(); codes != nil {
+		// Missing's rule for the typed layout, read straight off the
+		// codes: a per-row Missing call doubles the cost of the pass.
+		nulls := kc.Nulls()
+		for r, c := range codes {
+			k := int32(c)
+			if int(c) >= nl || nulls.Get(r) {
+				k = -1
+			}
+			keys[r] = k
+		}
+		return kc.Levels, keys, nil
+	}
+	for r := range keys {
+		c := kc.Code(r)
+		if c < 0 || c >= nl || kc.Missing(r) {
+			c = -1
+		}
+		keys[r] = int32(c)
+	}
+	return kc.Levels, keys, nil
+}
+
+// GroupMeans computes the mean of the value column within each level of
+// a categorical key column. Returned slices are indexed by level.
+// Levels with no rows get NaN means and zero counts; rows with a missing
+// key count toward no level.
+func (f *Frame) GroupMeans(key, value string) (levels []string, means []float64, counts []int, err error) {
+	levels, keys, err := f.LevelKeys(key)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	vc, err := f.Col(value)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	n := len(kc.Levels)
+	n := len(levels)
 	sums := make([]float64, n)
 	counts = make([]int, n)
-	for r := 0; r < f.rows; r++ {
-		i := kc.Code(r)
+	for r, i := range keys {
+		if i < 0 {
+			continue
+		}
 		sums[i] += vc.Data[r]
 		counts[i]++
 	}
@@ -347,27 +384,26 @@ func (f *Frame) GroupMeans(key, value string) (levels []string, means []float64,
 		}
 		means[i] = sums[i] / float64(counts[i])
 	}
-	return kc.Levels, means, counts, nil
+	return levels, means, counts, nil
 }
 
 // GroupValues collects the value column's entries per level of a
-// categorical key column.
+// categorical key column, in row order. Rows with a missing key belong
+// to no level.
 func (f *Frame) GroupValues(key, value string) (levels []string, groups [][]float64, err error) {
-	kc, err := f.Col(key)
+	levels, keys, err := f.LevelKeys(key)
 	if err != nil {
 		return nil, nil, err
-	}
-	if kc.Kind == Continuous {
-		return nil, nil, fmt.Errorf("frame: GroupValues key %q must be categorical", key)
 	}
 	vc, err := f.Col(value)
 	if err != nil {
 		return nil, nil, err
 	}
-	groups = make([][]float64, len(kc.Levels))
-	for r := 0; r < f.rows; r++ {
-		i := kc.Code(r)
-		groups[i] = append(groups[i], vc.Data[r])
+	groups = make([][]float64, len(levels))
+	for r, i := range keys {
+		if i >= 0 {
+			groups[i] = append(groups[i], vc.Data[r])
+		}
 	}
-	return kc.Levels, groups, nil
+	return levels, groups, nil
 }

@@ -2,6 +2,7 @@ package frame
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -252,4 +253,79 @@ func TestGroupValues(t *testing.T) {
 	if _, _, err := f.GroupValues("sku", "nope"); err == nil {
 		t.Error("missing value should error")
 	}
+}
+
+// TestGroupValuesMissingKeys checks that a missing key cell, in either
+// layout, puts its row in no group instead of indexing past the level
+// table; GroupMeans and LevelKeys share the rule.
+func TestGroupValuesMissingKeys(t *testing.T) {
+	levels := []string{"a", "b"}
+	rate := []float64{1, 2, 3, 4}
+	tests := []struct {
+		name string
+		key  func(f *Frame) error
+		want [][]float64
+	}{
+		{"typed sentinel code", func(f *Frame) error {
+			return f.AddNominalCodes("k", []uint8{0, 255, 1, 0}, levels)
+		}, [][]float64{{1, 4}, {3}}},
+		{"typed null mark", func(f *Frame) error {
+			if err := f.AddNominalCodes("k", []uint8{0, 1, 1, 0}, levels); err != nil {
+				return err
+			}
+			f.MustCol("k").MarkNull(2)
+			return nil
+		}, [][]float64{{1, 4}, {2}}},
+		{"float null mark", func(f *Frame) error {
+			if err := f.AddColumn(Column{Name: "k", Kind: Nominal, Data: []float64{0, 1, 1, 0}, Levels: levels}); err != nil {
+				return err
+			}
+			f.MustCol("k").MarkNull(0)
+			return nil
+		}, [][]float64{{4}, {2, 3}}},
+		{"float NaN", func(f *Frame) error {
+			return f.AddColumn(Column{Name: "k", Kind: Nominal, Data: []float64{math.NaN(), 1, 1, 0}, Levels: levels})
+		}, [][]float64{{4}, {2, 3}}},
+		{"float Inf", func(f *Frame) error {
+			return f.AddColumn(Column{Name: "k", Kind: Nominal, Data: []float64{0, math.Inf(1), math.Inf(-1), 1}, Levels: levels})
+		}, [][]float64{{1}, {4}}},
+		{"float code out of range", func(f *Frame) error {
+			return f.AddColumn(Column{Name: "k", Kind: Ordinal, Data: []float64{2, -1, 1, 0}, Levels: levels})
+		}, [][]float64{{4}, {3}}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			f := New(4)
+			if err := f.AddContinuous("rate", rate); err != nil {
+				t.Fatal(err)
+			}
+			if err := tt.key(f); err != nil {
+				t.Fatal(err)
+			}
+			_, groups, err := f.GroupValues("k", "rate")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(groups, tt.want) {
+				t.Errorf("groups = %v, want %v", groups, tt.want)
+			}
+			_, means, counts, err := f.GroupMeans("k", "rate")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, g := range tt.want {
+				if counts[i] != len(g) || means[i] != mean(g) {
+					t.Errorf("level %d: mean %v over %d rows, want %v over %d", i, means[i], counts[i], mean(g), len(g))
+				}
+			}
+		})
+	}
+}
+
+func mean(xs []float64) float64 {
+	s := 0.0
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
 }

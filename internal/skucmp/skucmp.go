@@ -60,20 +60,16 @@ func AnalyzeSF(f *frame.Frame, skus []topology.SKU) ([]Stats, error) {
 		if len(g) == 0 {
 			continue
 		}
-		sum, err := stats.Summarize(g)
-		if err != nil {
-			return nil, err
-		}
 		peak, err := stats.Quantile(g, 0.999)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, Stats{
 			SKU:    lvl,
-			Avg:    sum.Mean,
+			Avg:    stats.Mean(g),
 			Peak:   peak,
-			StdDev: sum.StdDev,
-			N:      sum.N,
+			StdDev: stats.StdDev(g),
+			N:      len(g),
 		})
 	}
 	if len(out) == 0 {

@@ -1,6 +1,7 @@
 package skucmp
 
 import (
+	"math"
 	"testing"
 
 	"rainshine/internal/frame"
@@ -68,6 +69,36 @@ func TestAnalyzeSF(t *testing.T) {
 	for _, s := range ss {
 		if s.N == 0 || s.Avg < 0 || s.Peak < s.Avg {
 			t.Errorf("implausible stats: %+v", s)
+		}
+	}
+}
+
+// TestAnalyzeSFGroupStats pins the per-SKU statistics on a hand-sized
+// frame: sample (n-1) sd, the type-7 99.9th percentile, and a row with a
+// missing sku cell counted toward no SKU.
+func TestAnalyzeSFGroupStats(t *testing.T) {
+	f := frame.New(6)
+	if err := f.AddNominalCodes("sku", []uint8{0, 1, 0, 255, 0, 1}, []string{"S1", "S2"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AddContinuous("failures", []float64{0, 1, 2, 100, 4, 1}); err != nil {
+		t.Fatal(err)
+	}
+	ss, err := AnalyzeSF(f, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Stats{
+		{SKU: "S1", Avg: 2, Peak: 3.996, StdDev: 2, N: 3},
+		{SKU: "S2", Avg: 1, Peak: 1, StdDev: 0, N: 2},
+	}
+	if len(ss) != len(want) {
+		t.Fatalf("got %+v", ss)
+	}
+	for i, w := range want {
+		g := ss[i]
+		if g.SKU != w.SKU || g.N != w.N || g.Avg != w.Avg || g.StdDev != w.StdDev || math.Abs(g.Peak-w.Peak) > 1e-12 {
+			t.Errorf("%s = %+v, want %+v", w.SKU, g, w)
 		}
 	}
 }

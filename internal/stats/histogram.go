@@ -70,34 +70,24 @@ func bucketIndex(edges []float64, x float64) int {
 	return lo
 }
 
-// GroupedSummary computes, for a paired sample (key, value), the Summary
-// of values whose keys fall into each bucket. This is the primitive
-// behind every "failure rate vs factor-bin" figure (Figs 5, 8, 9, 16, 17).
-func GroupedSummary(keys, values []float64, edges []float64) ([]Summary, error) {
+// BinnedMoments computes, for a paired sample (key, value), the Moments
+// of the values whose keys fall into each bucket of edges. A NaN key
+// belongs to no bucket; keys outside the edges clamp into the first or
+// last bucket like NewHistogram's. This is the primitive behind the
+// "failure rate vs factor-bin" figures (Figs 5, 9, 16, 17).
+func BinnedMoments(keys, values []float64, edges []float64) ([]Moments, error) {
 	if len(keys) != len(values) {
 		return nil, errors.New("stats: length mismatch")
 	}
 	if len(edges) < 2 {
 		return nil, errors.New("stats: need at least two bin edges")
 	}
-	groups := make([][]float64, len(edges)-1)
+	bins := make([]int32, len(keys))
 	for i, k := range keys {
-		if math.IsNaN(k) {
-			continue
+		bins[i] = -1
+		if !math.IsNaN(k) {
+			bins[i] = int32(bucketIndex(edges, k))
 		}
-		groups[bucketIndex(edges, k)] = append(groups[bucketIndex(edges, k)], values[i])
 	}
-	out := make([]Summary, len(groups))
-	for i, g := range groups {
-		if len(g) == 0 {
-			out[i] = Summary{}
-			continue
-		}
-		s, err := Summarize(g)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = s
-	}
-	return out, nil
+	return GroupMoments(bins, values, len(edges)-1), nil
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"testing"
 
 	"rainshine/internal/rng"
@@ -64,24 +65,28 @@ func TestBucketIndexBoundaries(t *testing.T) {
 	}
 }
 
-func TestGroupedSummary(t *testing.T) {
-	keys := []float64{1, 1, 5, 5, 5}
-	vals := []float64{10, 20, 1, 2, 3}
-	gs, err := GroupedSummary(keys, vals, []float64{0, 3, 10})
+func TestBinnedMoments(t *testing.T) {
+	keys := []float64{1, 1, 5, 5, 5, math.NaN(), -3}
+	vals := []float64{10, 20, 1, 2, 3, 100, 30}
+	gs, err := BinnedMoments(keys, vals, []float64{0, 3, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gs[0].N != 2 || !almostEqual(gs[0].Mean, 15, 1e-12) {
+	// The NaN key belongs to no bin; -3 clamps into the first.
+	if gs[0].N != 3 || !almostEqual(gs[0].Mean, 20, 1e-12) || !almostEqual(gs[0].StdDev, 10, 1e-12) {
 		t.Errorf("group 0 = %+v", gs[0])
 	}
-	if gs[1].N != 3 || !almostEqual(gs[1].Mean, 2, 1e-12) {
+	if gs[1].N != 3 || !almostEqual(gs[1].Mean, 2, 1e-12) || !almostEqual(gs[1].StdDev, 1, 1e-12) {
 		t.Errorf("group 1 = %+v", gs[1])
 	}
 }
 
-func TestGroupedSummaryMismatch(t *testing.T) {
-	if _, err := GroupedSummary([]float64{1}, []float64{1, 2}, []float64{0, 1}); err == nil {
+func TestBinnedMomentsMismatch(t *testing.T) {
+	if _, err := BinnedMoments([]float64{1}, []float64{1, 2}, []float64{0, 1}); err == nil {
 		t.Error("length mismatch should error")
+	}
+	if _, err := BinnedMoments([]float64{1}, []float64{1}, []float64{0}); err == nil {
+		t.Error("a single edge should error")
 	}
 }
 

@@ -172,6 +172,56 @@ func Summarize(xs []float64) (Summary, error) {
 	}, nil
 }
 
+// Moments is the count, mean and sample standard deviation of a group:
+// the bar and error bar of the paper's grouped-rate figures.
+type Moments struct {
+	N      int
+	Mean   float64
+	StdDev float64
+}
+
+// GroupMoments returns the Moments of values per group, where row r
+// belongs to group keys[r] and a key outside [0, k) puts the row in no
+// group; an empty group has zero Moments. keys and values have the same
+// length.
+//
+// It makes two streaming passes over the rows: sums in row order, then
+// squared deviations from each group's mean in row order. Those are the
+// float operations Mean and Variance perform on the group's values
+// collected in row order, so each field is bit-identical to what
+// Summarize reports for that slice, without the per-group copy and sort.
+func GroupMoments(keys []int32, values []float64, k int) []Moments {
+	n := make([]int, k)
+	acc := make([]float64, k)
+	for r, g := range keys {
+		if g < 0 || int(g) >= k {
+			continue
+		}
+		n[g]++
+		acc[g] += values[r]
+	}
+	out := make([]Moments, k)
+	for g := range out {
+		if n[g] > 0 {
+			out[g] = Moments{N: n[g], Mean: acc[g] / float64(n[g])}
+		}
+	}
+	clear(acc)
+	for r, g := range keys {
+		if g < 0 || int(g) >= k {
+			continue
+		}
+		d := values[r] - out[g].Mean
+		acc[g] += d * d
+	}
+	for g := range out {
+		if n[g] >= 2 {
+			out[g].StdDev = math.Sqrt(acc[g] / float64(n[g]-1))
+		}
+	}
+	return out
+}
+
 // Pearson returns the Pearson product-moment correlation of xs and ys.
 func Pearson(xs, ys []float64) (float64, error) {
 	if len(xs) != len(ys) {

@@ -590,8 +590,8 @@ func (s *Study) ClimateGuidance() (*ClimateReport, error) {
 }
 
 // ClimateGuidanceContext is ClimateGuidance under a context: the Q3
-// pipeline (three CART fits, PDP grids, the humidity boundary scan)
-// runs once per study, shared with Fig 18, and fans across the study's
+// pipeline (three CART fits and the humidity boundary scan) runs once
+// per study, shared with Fig 18, and fans across the study's
 // worker pool. A canceled ctx stops this caller's wait or computation
 // early; a canceled computation is not kept, so the next caller
 // recomputes. This is the variant the serving path uses per request.
